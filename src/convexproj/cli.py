@@ -4,13 +4,16 @@ Subcommands: convert, validate, oracle, flow, render.  Exit codes:
 
     0  success (all checks passed)
     1  validation failures
-    2  parse or schema error (including structurally bad decompositions)
-    3  domain, window or closure violation
-    4  unknown or boundary curve for a flow
-    5  chart failure while rendering
+    2  parse or schema error: SchemaError, CountMismatch, SlotReuse, NonNegativeEuler
+    3  domain, window or closure violation: every other CoordinateError
+    4  unknown or boundary curve for a flow: UnknownCurve, BoundaryCurve
+    5  chart failure while rendering: ChartFailure
 
-All numeric behaviour is deterministic; the CONVEXPROJ_VERBOSE environment
-variable only switches on traceback output for debugging.
+A failure's code is the ``exit_code`` of the raised error's class; an
+unreadable input or unwritable output file (OSError) also exits with 2.
+Each failure prints one ``error:`` line to standard error.  All numeric
+behaviour is deterministic; the CONVEXPROJ_VERBOSE environment variable
+only adds the traceback, for debugging.
 """
 
 from __future__ import annotations
@@ -21,61 +24,22 @@ import sys
 import traceback
 
 from . import fileio
-from .errors import (
-    BoundaryCurve,
-    ChartFailure,
-    ClosureViolation,
-    CountMismatch,
-    DegenerateConfiguration,
-    DomainViolation,
-    NonNegativeEuler,
-    NonPositiveRatio,
-    NoPositiveRoot,
-    NoValidBranch,
-    SchemaError,
-    SlotReuse,
-    UnknownCurve,
-    WindowViolation,
-)
+from .errors import CoordinateError, DomainViolation, SchemaError
 from .flags import config_from_fg, oracle_check, reconstruct_monodromy
-from .pants import (
-    GoldmanPants,
-    crossratios,
-    fg_to_goldman,
-    internal_consistency,
-    validate_fg_domain,
-)
+from .pants import crossratios, fg_to_goldman, internal_consistency, validate_fg_domain
 from .render import render_config_svg
-from .spectral import check_window, eigen_from_boundary, reverse_orientation
+from .spectral import check_window, eigen_from_boundary
 from .surface import (
     CLOSURE_TOL,
     bd_to_goldman,
     bulge_flow,
     goldman_to_bd,
+    pants_goldman,
     twist_flow,
     validate_closure,
 )
 
-_SCHEMA_ERRORS = (SchemaError, CountMismatch, SlotReuse, NonNegativeEuler)
-_DOMAIN_ERRORS = (
-    WindowViolation,
-    DomainViolation,
-    ClosureViolation,
-    NoPositiveRoot,
-    NonPositiveRatio,
-    DegenerateConfiguration,
-    NoValidBranch,
-)
-
 ORACLE_GATE = 1e-9
-
-
-def _report(line: str):
-    print(line)
-
-
-def _error(message: str):
-    print(f"error: {message}", file=sys.stderr)
 
 
 def cmd_convert(args) -> int:
@@ -99,33 +63,28 @@ def _validate_goldman(cf: fileio.CoordinateFile) -> bool:
         entry = cf.curve_values[key]
         check = check_window(entry["lambda"], entry["tau"])
         if check:
-            _report(f"PASS curve {key}: window ok "
-                    f"({check.lower:.6g} < tau={check.tau:.6g} < {check.upper:.6g})")
+            print(f"PASS curve {key}: window ok "
+                  f"({check.lower:.6g} < tau={check.tau:.6g} < {check.upper:.6g})")
         else:
             basics_ok = ok = False
-            _report(f"FAIL curve {key}: {'; '.join(check.failures)}")
+            print(f"FAIL curve {key}: {'; '.join(check.failures)}")
     for key in sorted(cf.pants_values):
         entry = cf.pants_values[key]
         good = entry["s"] > 0 and entry["t"] > 0
         if not good:
             basics_ok = ok = False
-        _report(f"{'PASS' if good else 'FAIL'} pants {key}: s={entry['s']:.6g} t={entry['t']:.6g}"
-                + ("" if good else " (internal parameters must be positive)"))
+        print(f"{'PASS' if good else 'FAIL'} pants {key}: s={entry['s']:.6g} t={entry['t']:.6g}"
+              + ("" if good else " (internal parameters must be positive)"))
     if not basics_ok:
-        _report("SKIP consistency checks: failures above")
+        print("SKIP consistency checks: failures above")
         return ok
     g = cf.goldman()
     for key in sorted(d.pants):
-        invariants = []
-        for curve, role in d.slot_assignment(key):
-            inv = g.curves[curve]
-            invariants.append(reverse_orientation(inv) if role == "minus" else inv)
-        pants = GoldmanPants(tuple(invariants), *g.pants[key])
-        report = internal_consistency(pants)
+        report = internal_consistency(pants_goldman(d, g, key))
         good = report.max_residual <= 1e-9 and all(r > 1.0 for r in report.crossratios)
         ok = ok and good
-        _report(f"{'PASS' if good else 'FAIL'} pants {key}: crossratio identities, "
-                f"max residual {report.max_residual:.3e}")
+        print(f"{'PASS' if good else 'FAIL'} pants {key}: crossratio identities, "
+              f"max residual {report.max_residual:.3e}")
     return ok
 
 
@@ -140,26 +99,26 @@ def _validate_bd(cf: fileio.CoordinateFile) -> bool:
             rho = crossratios(f)
             good = all(r > 1.0 for r in rho)
             ok = ok and good
-            _report(f"{'PASS' if good else 'FAIL'} pants {key}: lengths positive, "
-                    f"crossratios {tuple(round(r, 6) for r in rho)}")
+            print(f"{'PASS' if good else 'FAIL'} pants {key}: lengths positive, "
+                  f"crossratios {tuple(round(r, 6) for r in rho)}")
         else:
             ok = False
-            _report(f"FAIL pants {key}: {'; '.join(check.failures)}")
+            print(f"FAIL pants {key}: {'; '.join(check.failures)}")
     report = validate_closure(d, b)
     for key in sorted(report.curves):
         closure = report.curves[key]
         worst = max(closure.residuals)
         good = worst <= CLOSURE_TOL
         ok = ok and good
-        _report(f"{'PASS' if good else 'FAIL'} curve {key}: closure residuals "
-                f"{closure.residuals[0]:.3e} {closure.residuals[1]:.3e}")
+        print(f"{'PASS' if good else 'FAIL'} curve {key}: closure residuals "
+              f"{closure.residuals[0]:.3e} {closure.residuals[1]:.3e}")
     return ok
 
 
 def cmd_validate(args) -> int:
     cf = fileio.load_file(args.input)
     ok = _validate_goldman(cf) if cf.system == fileio.GOLDMAN else _validate_bd(cf)
-    _report("all checks passed" if ok else "validation failed")
+    print("all checks passed" if ok else "validation failed")
     return 0 if ok else 1
 
 
@@ -173,7 +132,7 @@ def cmd_oracle(args) -> int:
         f = b.pants[key]
         report = oracle_check(f)
         worst = max(worst, report.max_residual)
-        _report(
+        print(
             f"pants {key}: shear residuals "
             f"{max(max(report.sigma1_residuals), max(report.sigma2_residuals)):.3e}  "
             f"triangle residual {report.tau_plus_residual:.3e}  "
@@ -185,31 +144,23 @@ def cmd_oracle(args) -> int:
             result = reconstruct_monodromy(config, eigen)
             for i, branches in enumerate(result.branches):
                 best = branches[0]
-                _report(
+                print(
                     f"pants {key} holonomy {i + 1}: spectrum "
                     f"({eigen[i].lam:.9g}, {eigen[i].mu:.9g}, {eigen[i].nu:.9g})  "
                     f"spectrum residual {best.spectrum_residual:.3e}  "
                     f"flag residual {best.flag_residual:.3e}  "
                     f"branches {len(branches)}"
                 )
-    _report(f"worst residual {worst:.3e}")
+    print(f"worst residual {worst:.3e}")
     return 0 if worst <= ORACLE_GATE else 1
 
 
 def cmd_flow(args) -> int:
     cf = fileio.load_file(args.input)
     d = cf.decomposition
-    if cf.system == fileio.GOLDMAN:
-        coords = cf.goldman()
-    else:
-        coords = cf.bd()
-    if args.twist:
-        coords = twist_flow(coords, args.curve, args.twist, decomposition=d)
-    if args.bulge:
-        coords = bulge_flow(coords, args.curve, args.bulge, decomposition=d)
-    if not args.twist and not args.bulge:
-        # still check the curve so a bad key fails loudly
-        coords = twist_flow(coords, args.curve, 0.0, decomposition=d)
+    coords = cf.goldman() if cf.system == fileio.GOLDMAN else cf.bd()
+    coords = twist_flow(coords, args.curve, args.twist, decomposition=d)
+    coords = bulge_flow(coords, args.curve, args.bulge, decomposition=d)
     if cf.system == fileio.GOLDMAN:
         out = fileio.file_from_goldman(d, coords)
     else:
@@ -279,34 +230,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    verbose = bool(os.environ.get("CONVEXPROJ_VERBOSE"))
     try:
         return args.func(args)
-    except _SCHEMA_ERRORS as err:
-        if verbose:
+    except (CoordinateError, OSError) as err:
+        if os.environ.get("CONVEXPROJ_VERBOSE"):
             traceback.print_exc()
-        _error(str(err))
-        return 2
-    except _DOMAIN_ERRORS as err:
-        if verbose:
-            traceback.print_exc()
-        _error(str(err))
-        return 3
-    except (UnknownCurve, BoundaryCurve) as err:
-        if verbose:
-            traceback.print_exc()
-        _error(str(err))
-        return 4
-    except ChartFailure as err:
-        if verbose:
-            traceback.print_exc()
-        _error(str(err))
-        return 5
-    except OSError as err:
-        if verbose:
-            traceback.print_exc()
-        _error(str(err))
-        return 2
+        print(f"error: {err}", file=sys.stderr)
+        return err.exit_code if isinstance(err, CoordinateError) else 2
 
 
 if __name__ == "__main__":

@@ -1,8 +1,15 @@
-"""Exception hierarchy shared by all convexproj modules."""
+"""Exception hierarchy shared by all convexproj modules.
+
+Each class carries the command-line exit code for its kind of failure:
+domain errors keep the base class's 3, input-structure errors set 2,
+flow-target errors 4 and chart errors 5.
+"""
 
 
 class CoordinateError(Exception):
     """Base class for every error raised by this package."""
+
+    exit_code = 3
 
 
 class WindowViolation(CoordinateError):
@@ -40,26 +47,40 @@ class ClosureViolation(CoordinateError):
 class CountMismatch(CoordinateError):
     """Pants/gluing/boundary counts are inconsistent."""
 
+    exit_code = 2
+
 
 class SlotReuse(CoordinateError):
     """A pants slot is glued or marked as boundary more than once."""
+
+    exit_code = 2
 
 
 class NonNegativeEuler(CoordinateError):
     """The surface does not have negative Euler characteristic."""
 
+    exit_code = 2
+
 
 class UnknownCurve(CoordinateError):
     """A curve key does not exist in the decomposition."""
+
+    exit_code = 4
 
 
 class BoundaryCurve(CoordinateError):
     """A flow was requested along a boundary curve."""
 
+    exit_code = 4
+
 
 class SchemaError(CoordinateError):
     """A coordinate file does not match the documented JSON schema."""
 
+    exit_code = 2
+
 
 class ChartFailure(CoordinateError):
     """A point cannot be placed in the rendering chart X+Y+Z=1."""
+
+    exit_code = 5

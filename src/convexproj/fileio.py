@@ -35,6 +35,7 @@ round-trip representation (at most 17 significant digits).
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import SchemaError
@@ -75,7 +76,10 @@ def _expect_object(value, path: str, required: tuple[str, ...]) -> dict:
 def _expect_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"expected a number, got {value!r}")
-    number = float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        _fail(path, "number is too large for a float")
     if number != number or number in (float("inf"), float("-inf")):
         _fail(path, "number must be finite")
     return number
@@ -239,13 +243,23 @@ def _parse_values(raw, system: str, d: PantsDecomposition):
     return curve_values, pants_values
 
 
+def _unique_keys(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        counts = Counter(key for key, _ in pairs)
+        repeated = sorted(key for key, n in counts.items() if n > 1)
+        raise SchemaError(f"duplicate keys {repeated!r} in one object")
+    return obj
+
+
 def loads(text: str) -> CoordinateFile:
     def reject_constant(token):
         raise SchemaError(f"non-finite number {token!r} is not allowed")
 
     try:
-        raw = json.loads(text, parse_constant=reject_constant)
-    except json.JSONDecodeError as err:
+        raw = json.loads(text, parse_constant=reject_constant, object_pairs_hook=_unique_keys)
+    except ValueError as err:
+        # JSONDecodeError, or an integer literal beyond Python's digit limit
         raise SchemaError(f"invalid JSON: {err}") from err
     top = _expect_object(raw, "$", ("schema_version", "surface", "system", "values"))
     if top["schema_version"] != SCHEMA_VERSION:

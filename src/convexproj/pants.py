@@ -255,7 +255,6 @@ class ConsistencyReport:
     crossratios: tuple[float, float, float]
     residuals: tuple[float, float, float]
     max_residual: float
-    involves_t: bool = False
 
 
 def internal_consistency(g: GoldmanPants) -> ConsistencyReport:

@@ -201,8 +201,11 @@ def _check_bd_keys(d: PantsDecomposition, b: SurfaceBD):
         raise CountMismatch("curve shears must cover exactly the internal curves")
 
 
-def _pants_goldman(d: PantsDecomposition, g: SurfaceGoldman, pants_key: str) -> GoldmanPants:
-    """Assemble one pants' Goldman tuple, reversing minus-slot orientations."""
+def pants_goldman(d: PantsDecomposition, g: SurfaceGoldman, pants_key: str) -> GoldmanPants:
+    """Assemble one pants' Goldman tuple, reversing minus-slot orientations.
+
+    Non-positive internal parameters (s, t) raise DomainViolation.
+    """
     invariants = []
     for curve, role in d.slot_assignment(pants_key):
         inv = g.curves[curve]
@@ -210,7 +213,10 @@ def _pants_goldman(d: PantsDecomposition, g: SurfaceGoldman, pants_key: str) -> 
             inv = reverse_orientation(inv)
         invariants.append(inv)
     s, t = g.pants[pants_key]
-    return GoldmanPants(tuple(invariants), s, t)
+    try:
+        return GoldmanPants(tuple(invariants), s, t)
+    except ValueError as err:
+        raise DomainViolation(str(err)) from err
 
 
 def goldman_to_bd(d: PantsDecomposition, g: SurfaceGoldman) -> SurfaceBD:
@@ -219,7 +225,7 @@ def goldman_to_bd(d: PantsDecomposition, g: SurfaceGoldman) -> SurfaceBD:
     fg = {}
     for pants_key in d.pants:
         try:
-            fg[pants_key] = goldman_to_fg(_pants_goldman(d, g, pants_key))
+            fg[pants_key] = goldman_to_fg(pants_goldman(d, g, pants_key))
         except (WindowViolation, DomainViolation) as err:
             raise type(err)(f"pants {pants_key!r}: {err}") from err
     shears = {

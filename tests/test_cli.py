@@ -1,10 +1,13 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from convexproj import cli, errors
 
 REPO = Path(__file__).resolve().parent.parent
 SAMPLES = REPO / "samples"
@@ -78,6 +81,38 @@ class TestConvert:
         assert json.loads(out.read_text()) == json.loads(
             (SAMPLES / "pants_goldman.json").read_text()
         )
+
+
+def set_pants_value(name, value):
+    def mutator(text):
+        data = json.loads(text)
+        data["values"]["pants"]["P0"][name] = value
+        return json.dumps(data)
+    return mutator
+
+
+class TestRejectedInput:
+    """Bad input ends in one `error:` line and the documented exit code."""
+
+    @pytest.mark.parametrize(
+        "mutator, code, message",
+        [
+            (set_pants_value("s", -1.0), 3, "pants 'P0': internal parameter s must be positive"),
+            (set_pants_value("t", 0.0), 3, "pants 'P0': internal parameter t must be positive"),
+            (set_pants_value("s", 10**400), 2, "values.pants['P0'].s: number is too large"),
+            (lambda text: text.replace('"s": 1.0', '"s": 2.0, "s": 1.0'), 2, "duplicate keys"),
+        ],
+        ids=["s_negative", "t_zero", "huge_integer", "duplicate_key"],
+    )
+    def test_convert_to_bd(self, tmp_path, mutator, code, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(mutator((SAMPLES / "pants_goldman.json").read_text()))
+        result = run_cli("convert", bad, "--to", "bd", tmp_path / "out.json")
+        assert result.returncode == code
+        assert "Traceback" not in result.stderr
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert message in lines[0]
 
 
 class TestValidate:
@@ -224,3 +259,57 @@ class TestRender:
         bad.write_text(json.dumps(data))
         result = run_cli("render", bad, "--pants", "P0", tmp_path / "x.svg")
         assert result.returncode == 3
+
+
+def documented_exit_codes():
+    """The class-name -> exit-code table written in the cli docstring."""
+    table = {}
+    for line in cli.__doc__.splitlines():
+        match = re.match(r"\s+(\d)\s+[^:]*:\s*(.+)$", line)
+        if match:
+            for name in re.findall(r"\b[A-Z]\w+", match.group(2)):
+                table[name] = int(match.group(1))
+    return table
+
+
+ERROR_CLASSES = sorted(
+    (c for c in vars(errors).values()
+     if isinstance(c, type) and issubclass(c, errors.CoordinateError)),
+    key=lambda c: c.__name__,
+)
+
+
+class TestErrorContract:
+    def test_docstring_names_real_classes(self):
+        table = documented_exit_codes()
+        assert table["CoordinateError"] == 3
+        assert set(table) <= {c.__name__ for c in ERROR_CLASSES}
+
+    @pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda c: c.__name__)
+    def test_exit_code_matches_docstring(self, cls):
+        table = documented_exit_codes()
+        assert cls.exit_code == table.get(cls.__name__, table["CoordinateError"])
+
+    def test_main_returns_class_exit_code(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("CONVEXPROJ_VERBOSE", raising=False)
+        code = cli.main(["flow", str(SAMPLES / "torus_goldman.json"), "--curve", "zz",
+                         "--twist", "1", str(tmp_path / "out.json")])
+        captured = capsys.readouterr()
+        assert code == errors.UnknownCurve.exit_code
+        assert captured.err == "error: no curve 'zz' in these coordinates\n"
+        assert captured.out == ""
+
+    def test_verbose_adds_traceback(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("CONVEXPROJ_VERBOSE", "1")
+        code = cli.main(["flow", str(SAMPLES / "torus_goldman.json"), "--curve", "a1",
+                         "--twist", "1", str(tmp_path / "out.json")])
+        err = capsys.readouterr().err
+        assert code == errors.BoundaryCurve.exit_code
+        assert err.startswith("Traceback")
+        assert err.splitlines()[-1].startswith("error: curve 'a1' is a boundary component")
+
+    def test_unwritable_output_exit_2(self, tmp_path, capsys):
+        code = cli.main(["convert", str(SAMPLES / "pants_goldman.json"), "--to", "bd",
+                         str(tmp_path / "missing" / "out.json")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")

@@ -140,6 +140,26 @@ class TestSchemaErrors:
         with pytest.raises(SchemaError, match="expected a number"):
             fileio.loads(mutate(document, mutator))
 
+    def test_number_too_large_for_float(self, document):
+        def mutator(d):
+            d["values"]["pants"]["P0"]["s"] = 10**400
+
+        with pytest.raises(SchemaError, match=r"values\.pants\['P0'\]\.s: .*too large"):
+            fileio.loads(mutate(document, mutator))
+
+    def test_integer_beyond_digit_limit(self, document):
+        bad = document.replace('"s": 1.0', '"s": ' + "1" * 5000)
+        assert bad != document
+        # interpreters without the int digit limit parse it and overflow instead
+        with pytest.raises(SchemaError, match="invalid JSON|too large"):
+            fileio.loads(bad)
+
+    def test_duplicate_key_rejected(self, document):
+        bad = document.replace('"s": 1.0', '"s": 2.0, "s": 1.0')
+        assert bad != document
+        with pytest.raises(SchemaError, match=r"duplicate keys \['s'\]"):
+            fileio.loads(bad)
+
     def test_bad_slot(self, document):
         def mutator(d):
             d["surface"]["gluings"][0]["plus"] = ["P0", 4]

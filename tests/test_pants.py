@@ -201,7 +201,6 @@ class TestInternalConsistency:
         doubled = GoldmanPants(g.boundary, g.s, 2.0 * g.t)
         report = internal_consistency(doubled)
         assert report.max_residual <= 1e-9
-        assert report.involves_t is False
 
     def test_random_residuals(self):
         rng = np.random.default_rng(47)
