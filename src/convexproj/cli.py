@@ -30,7 +30,6 @@ from .pants import crossratios, fg_to_goldman, internal_consistency, validate_fg
 from .render import render_config_svg
 from .spectral import check_window, eigen_from_boundary
 from .surface import (
-    CLOSURE_TOL,
     bd_to_goldman,
     bulge_flow,
     goldman_to_bd,
@@ -58,7 +57,6 @@ def cmd_convert(args) -> int:
 def _validate_goldman(cf: fileio.CoordinateFile) -> bool:
     d = cf.decomposition
     ok = True
-    basics_ok = True
     for key in sorted(cf.curve_values):
         entry = cf.curve_values[key]
         check = check_window(entry["lambda"], entry["tau"])
@@ -66,16 +64,15 @@ def _validate_goldman(cf: fileio.CoordinateFile) -> bool:
             print(f"PASS curve {key}: window ok "
                   f"({check.lower:.6g} < tau={check.tau:.6g} < {check.upper:.6g})")
         else:
-            basics_ok = ok = False
+            ok = False
             print(f"FAIL curve {key}: {'; '.join(check.failures)}")
     for key in sorted(cf.pants_values):
         entry = cf.pants_values[key]
         good = entry["s"] > 0 and entry["t"] > 0
-        if not good:
-            basics_ok = ok = False
+        ok = ok and good
         print(f"{'PASS' if good else 'FAIL'} pants {key}: s={entry['s']:.6g} t={entry['t']:.6g}"
               + ("" if good else " (internal parameters must be positive)"))
-    if not basics_ok:
+    if not ok:
         print("SKIP consistency checks: failures above")
         return ok
     g = cf.goldman()
@@ -107,10 +104,8 @@ def _validate_bd(cf: fileio.CoordinateFile) -> bool:
     report = validate_closure(d, b)
     for key in sorted(report.curves):
         closure = report.curves[key]
-        worst = max(closure.residuals)
-        good = worst <= CLOSURE_TOL
-        ok = ok and good
-        print(f"{'PASS' if good else 'FAIL'} curve {key}: closure residuals "
+        ok = ok and closure.ok
+        print(f"{'PASS' if closure.ok else 'FAIL'} curve {key}: closure residuals "
               f"{closure.residuals[0]:.3e} {closure.residuals[1]:.3e}")
     return ok
 
@@ -130,7 +125,10 @@ def cmd_oracle(args) -> int:
     worst = 0.0
     for key in sorted(b.pants):
         f = b.pants[key]
-        report = oracle_check(f)
+        try:
+            report = oracle_check(f)
+        except CoordinateError as err:
+            raise type(err)(f"pants {key!r}: {err}") from err
         worst = max(worst, report.max_residual)
         print(
             f"pants {key}: shear residuals "
@@ -177,11 +175,13 @@ def cmd_render(args) -> int:
     if args.pants not in b.pants:
         raise SchemaError(f"no pants {args.pants!r} in this file")
     f = b.pants[args.pants]
-    check = validate_fg_domain(f)
-    if not check:
-        raise DomainViolation(f"pants {args.pants!r}: " + "; ".join(check.failures))
-    config = config_from_fg(f.sigma1, f.sigma2, f.tau_plus)
-    svg = render_config_svg(config)
+    try:
+        check = validate_fg_domain(f)
+        if not check:
+            raise DomainViolation("; ".join(check.failures))
+        svg = render_config_svg(config_from_fg(f.sigma1, f.sigma2, f.tau_plus))
+    except CoordinateError as err:
+        raise type(err)(f"pants {args.pants!r}: {err}") from err
     with open(args.output, "w", encoding="utf-8") as handle:
         handle.write(svg)
     return 0

@@ -38,7 +38,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import SchemaError
+from .errors import SchemaError, WindowViolation
 from .pants import FGPants
 from .spectral import BoundaryInvariant
 from .surface import (
@@ -116,10 +116,12 @@ class CoordinateFile:
         if self.system != GOLDMAN:
             raise SchemaError(f"file holds {self.system!r} values, not goldman")
         internal = set(self.decomposition.internal_curves())
-        curves = {
-            key: BoundaryInvariant(entry["lambda"], entry["tau"])
-            for key, entry in self.curve_values.items()
-        }
+        curves = {}
+        for key, entry in self.curve_values.items():
+            try:
+                curves[key] = BoundaryInvariant(entry["lambda"], entry["tau"])
+            except WindowViolation as err:
+                raise WindowViolation(f"values.curves[{key!r}]: {err}") from err
         uv = {
             key: (entry["u"], entry["v"])
             for key, entry in self.curve_values.items()

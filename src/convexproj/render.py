@@ -16,6 +16,9 @@ from .flags import PantsFlagConfig
 
 CHART_TOL = 1e-9
 
+# Width of the drawing in pixels; the height follows from the chart's aspect.
+SVG_WIDTH = 640
+
 _FILLS = ("#d7e5f4", "#fbe3c9", "#d9efd7", "#f3d9e8")
 _EDGE = "#444444"
 _LINE_COLOR = "#8a1f1f"
@@ -38,7 +41,7 @@ def _label(v) -> str:
     return "[" + ", ".join(_fmt(float(c)) for c in np.asarray(v, dtype=float)) + "]"
 
 
-def render_config_svg(config: PantsFlagConfig, *, width: int = 640) -> str:
+def render_config_svg(config: PantsFlagConfig) -> str:
     """SVG document showing the four triangles and the three flag lines."""
     p = [pt for pt in config.inner_points]
     q = [op.coords for op in config.outer_points]
@@ -67,7 +70,7 @@ def render_config_svg(config: PantsFlagConfig, *, width: int = 640) -> str:
     margin = 0.18 * span
     lo_x, hi_x = min(xs) - margin, max(xs) + margin
     lo_y, hi_y = min(ys) - margin, max(ys) + margin
-    scale = width / (hi_x - lo_x)
+    scale = SVG_WIDTH / (hi_x - lo_x)
     height = int(round((hi_y - lo_y) * scale))
 
     def to_px(pt):
@@ -77,8 +80,8 @@ def render_config_svg(config: PantsFlagConfig, *, width: int = 640) -> str:
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" style="background:#ffffff">',
+        f'width="{SVG_WIDTH}" height="{height}" '
+        f'viewBox="0 0 {SVG_WIDTH} {height}" style="background:#ffffff">',
     ]
     for fill, names in zip(_FILLS, triangles):
         pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in (to_px(charted[n]) for n in names))

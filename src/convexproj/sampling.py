@@ -5,7 +5,7 @@ in the boundary window shrunk by a factor 1e-3 on both sides, and s, t
 log-uniformly in [e^-2, e^2]; this keeps clear of the degenerate boundary
 while exercising a wide dynamic range.  The shear sampler draws all six
 shears in [-2.5, -0.1] and then picks triangle invariants compatible with
-length positivity, leaving a small safety margin.
+length positivity, keeping every length at least LENGTH_MARGIN.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .spectral import BoundaryInvariant
 from .surface import PantsDecomposition, SurfaceGoldman
 
 WINDOW_SHRINK = 1e-3
+LENGTH_MARGIN = 0.05
 
 
 def random_boundary_invariant(rng: np.random.Generator) -> BoundaryInvariant:
@@ -35,12 +36,12 @@ def random_goldman_pants(rng: np.random.Generator) -> GoldmanPants:
     return GoldmanPants(boundary, s, t)
 
 
-def random_fg_pants(rng: np.random.Generator, *, margin: float = 0.05) -> FGPants:
+def random_fg_pants(rng: np.random.Generator) -> FGPants:
     sigma1 = tuple(rng.uniform(-2.5, -0.1, 3))
     sigma2 = tuple(rng.uniform(-2.5, -0.1, 3))
     cap = min(-sigma2[(i + 1) % 3] - sigma1[(i - 1) % 3] for i in range(3))
     tau_plus = rng.uniform(-1.0, 1.0)
-    tau_minus = rng.uniform(-1.0, cap - tau_plus - margin)
+    tau_minus = rng.uniform(-1.0, cap - tau_plus - LENGTH_MARGIN)
     return FGPants(sigma1, sigma2, tau_plus, tau_minus)
 
 

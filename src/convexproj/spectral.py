@@ -52,7 +52,9 @@ def check_window(lam: float, tau: float) -> WindowCheck:
         failures.append(f"lambda must be a positive finite real, got {lam!r}")
         return WindowCheck(False, lam, tau, math.nan, math.nan, tuple(failures))
     lower = 2.0 / math.sqrt(lam)
-    upper = lam + 1.0 / (lam * lam)
+    square = lam * lam
+    # lam below about 1.5e-162 squares to 0.0: the upper bound is then infinite
+    upper = lam + 1.0 / square if square else math.inf
     if not (isinstance(tau, (int, float)) and math.isfinite(tau)):
         failures.append(f"tau must be a finite real, got {tau!r}")
     else:

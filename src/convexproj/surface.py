@@ -116,9 +116,10 @@ class PantsDecomposition:
 def build_decomposition(pants, gluings, boundaries) -> PantsDecomposition:
     """Validate the combinatorics and derive (genus, boundary count).
 
-    The number of pants determines the Euler characteristic and the unglued
-    slots determine n, so g = (2 - n + #pants) / 2 must come out a
-    nonnegative integer and every slot must be used exactly once.
+    Every slot must be used exactly once.  The unglued slots determine n,
+    and g = (2 - n + #pants) / 2 must not be negative.  Once every slot is
+    used, 3 #pants = 2 #gluings + n, so g is automatically an integer and
+    the Euler characteristic is -#pants < 0.
     """
     pants = tuple(pants)
     gluings = tuple(gluings)
@@ -152,14 +153,11 @@ def build_decomposition(pants, gluings, boundaries) -> PantsDecomposition:
         raise CountMismatch(f"unused slots: {missing!r}")
     n = len(boundaries)
     twice_genus = 2 - n + len(pants)
-    if twice_genus < 0 or twice_genus % 2 != 0:
+    if twice_genus < 0:
         raise CountMismatch(
             f"{len(pants)} pants with {n} boundary slots do not close up to a surface"
         )
-    genus = twice_genus // 2
-    if 2 - 2 * genus - n >= 0:
-        raise NonNegativeEuler(f"Euler characteristic {2 - 2 * genus - n} is not negative")
-    return PantsDecomposition(pants, gluings, boundaries, genus, n)
+    return PantsDecomposition(pants, gluings, boundaries, twice_genus // 2, n)
 
 
 @dataclass(frozen=True)
@@ -253,6 +251,11 @@ class CurveClosure:
             abs(self.plus_lengths.ell2 - self.minus_lengths.ell1),
         )
 
+    @property
+    def ok(self) -> bool:
+        """Whether the curve closes: both residuals within CLOSURE_TOL."""
+        return max(self.residuals) <= CLOSURE_TOL
+
 
 @dataclass(frozen=True)
 class ClosureReport:
@@ -265,8 +268,10 @@ class ClosureReport:
             worst = max(worst, *closure.residuals)
         return worst
 
-    def ok(self, tol: float = CLOSURE_TOL) -> bool:
-        return self.max_residual <= tol
+    @property
+    def failures(self) -> dict[str, CurveClosure]:
+        """The curves that do not close."""
+        return {key: closure for key, closure in self.curves.items() if not closure.ok}
 
 
 def validate_closure(d: PantsDecomposition, b: SurfaceBD) -> ClosureReport:
@@ -285,19 +290,15 @@ def validate_closure(d: PantsDecomposition, b: SurfaceBD) -> ClosureReport:
 def bd_to_goldman(d: PantsDecomposition, b: SurfaceBD) -> SurfaceGoldman:
     """Convert back, reading each internal curve off its plus-side pants."""
     report = validate_closure(d, b)
-    if not report.ok():
-        bad = {
-            key: closure.residuals
-            for key, closure in report.curves.items()
-            if max(closure.residuals) > CLOSURE_TOL
-        }
+    bad = {key: closure.residuals for key, closure in report.failures.items()}
+    if bad:
         raise ClosureViolation(f"closure fails for curves {bad!r}", report)
     goldman = {}
     for pants_key in d.pants:
         try:
             goldman[pants_key] = fg_to_goldman(b.pants[pants_key])
-        except DomainViolation as err:
-            raise DomainViolation(f"pants {pants_key!r}: {err}") from err
+        except (WindowViolation, DomainViolation) as err:
+            raise type(err)(f"pants {pants_key!r}: {err}") from err
     curves = {}
     for g in d.gluings:
         pants_key, slot = g.plus
@@ -368,11 +369,8 @@ def coordinate_count(genus: int, boundary_count: int) -> CoordinateCount:
     chi = 2 - 2 * genus - boundary_count
     if chi >= 0:
         raise NonNegativeEuler(f"Euler characteristic {chi} is not negative")
-    counts = CoordinateCount(
+    return CoordinateCount(
         goldman_total=16 * genus + 8 * boundary_count - 16,
         bd_raw=22 * genus + 10 * boundary_count - 22,
         closure_constraints=2 * (3 * genus + boundary_count - 3),
     )
-    assert counts.goldman_total == 8 * abs(chi)
-    assert counts.bd_raw - counts.closure_constraints == counts.goldman_total
-    return counts

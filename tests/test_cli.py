@@ -91,6 +91,22 @@ def set_pants_value(name, value):
     return mutator
 
 
+def set_curve_value(curve, name, value):
+    def mutator(text):
+        data = json.loads(text)
+        data["values"]["curves"][curve][name] = value
+        return json.dumps(data)
+    return mutator
+
+
+def expect_one_error(result, code, message):
+    assert result.returncode == code
+    assert "Traceback" not in result.stderr
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert message in lines[0]
+
+
 class TestRejectedInput:
     """Bad input ends in one `error:` line and the documented exit code."""
 
@@ -101,18 +117,19 @@ class TestRejectedInput:
             (set_pants_value("t", 0.0), 3, "pants 'P0': internal parameter t must be positive"),
             (set_pants_value("s", 10**400), 2, "values.pants['P0'].s: number is too large"),
             (lambda text: text.replace('"s": 1.0', '"s": 2.0, "s": 1.0'), 2, "duplicate keys"),
+            (set_curve_value("a2", "tau", 4.0), 3,
+             "values.curves['a2']: tau=4.0 is not above the lower bound"),
+            (set_curve_value("a1", "lambda", 1e-200), 3,
+             "values.curves['a1']: tau=6.0 is not above the lower bound"),
         ],
-        ids=["s_negative", "t_zero", "huge_integer", "duplicate_key"],
+        ids=["s_negative", "t_zero", "huge_integer", "duplicate_key", "tau_below_window",
+             "lambda_underflow"],
     )
     def test_convert_to_bd(self, tmp_path, mutator, code, message):
         bad = tmp_path / "bad.json"
         bad.write_text(mutator((SAMPLES / "pants_goldman.json").read_text()))
         result = run_cli("convert", bad, "--to", "bd", tmp_path / "out.json")
-        assert result.returncode == code
-        assert "Traceback" not in result.stderr
-        lines = result.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
-        assert message in lines[0]
+        expect_one_error(result, code, message)
 
 
 class TestValidate:
@@ -156,6 +173,33 @@ class TestValidate:
         assert result.returncode == 1
         assert "FAIL curve a2" in result.stdout
 
+    def test_underflowing_lambda_reported(self, tmp_path):
+        bad = tmp_path / "tiny.json"
+        bad.write_text(set_curve_value("a1", "lambda", 1e-200)(
+            (SAMPLES / "pants_goldman.json").read_text()))
+        result = run_cli("validate", bad)
+        assert result.returncode == 1, result.stderr
+        assert "FAIL curve a1" in result.stdout
+        assert result.stderr == ""
+
+
+def write_bd_pants(path, sigma1, sigma2):
+    """The pants sample with its shear/triangle tuple replaced (tau_111 = 0)."""
+    data = json.loads((SAMPLES / "pants_bd.json").read_text())
+    data["values"]["pants"]["P0"] = {
+        "sigma1": sigma1, "sigma2": sigma2, "tau_plus": 0.0, "tau_minus": 0.0,
+    }
+    path.write_text(json.dumps(data))
+    return path
+
+
+# Valid tuples (all six lengths >= 2) whose flag configuration is not
+# representable: e^-45 + 1 rounds to 1.0, and e^800 overflows.
+UNREPRESENTABLE = {
+    "rounds_onto_bound": ([-45.0, -1.0, -45.0], [-1.0, 40.0, -1.0]),
+    "overflows": ([-1.0, -1.0, -1.0], [-1.0, -1.0, -800.0]),
+}
+
 
 class TestOracle:
     def test_symmetric_bd(self):
@@ -181,6 +225,11 @@ class TestOracle:
         bad.write_text(json.dumps(data))
         result = run_cli("oracle", bad)
         assert result.returncode == 3
+
+    def test_unrepresentable_configuration_exit_3(self, tmp_path):
+        bad = write_bd_pants(tmp_path / "bad.json", *UNREPRESENTABLE["rounds_onto_bound"])
+        result = run_cli("oracle", bad)
+        expect_one_error(result, 3, "pants 'P0': flag configuration is not representable")
 
 
 class TestFlow:
@@ -259,6 +308,12 @@ class TestRender:
         bad.write_text(json.dumps(data))
         result = run_cli("render", bad, "--pants", "P0", tmp_path / "x.svg")
         assert result.returncode == 3
+
+    @pytest.mark.parametrize("name", sorted(UNREPRESENTABLE))
+    def test_unrepresentable_configuration_exit_3(self, tmp_path, name):
+        bad = write_bd_pants(tmp_path / "bad.json", *UNREPRESENTABLE[name])
+        result = run_cli("render", bad, "--pants", "P0", tmp_path / "x.svg")
+        expect_one_error(result, 3, "pants 'P0': flag configuration is not representable")
 
 
 def documented_exit_codes():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from convexproj import fileio
-from convexproj.errors import SchemaError
+from convexproj.errors import SchemaError, WindowViolation
 from convexproj.sampling import random_surface_goldman
 from convexproj.surface import bd_to_goldman, goldman_to_bd
 
@@ -38,6 +38,13 @@ class TestLoadSamples:
         assert g.uv["c1"] == (0.0, 0.0)
         with pytest.raises(SchemaError):
             cf.bd()
+
+    def test_window_violation_names_curve_path(self):
+        data = json.loads((SAMPLES / "genus2_goldman.json").read_text())
+        data["values"]["curves"]["c2"]["tau"] = 4.0
+        cf = fileio.loads(json.dumps(data))
+        with pytest.raises(WindowViolation, match=r"^values\.curves\['c2'\]: tau=4\.0 is not above"):
+            cf.goldman()
 
 
 class TestRoundTrip:

@@ -23,7 +23,7 @@ from convexproj.flags import (
     wedge2,
     wedge3,
 )
-from convexproj.pants import FGPants, fg_to_goldman
+from convexproj.pants import FGPants, fg_to_goldman, validate_fg_domain
 from convexproj.sampling import random_fg_pants
 from convexproj.spectral import EigenTriple, eigen_from_boundary
 
@@ -195,6 +195,19 @@ class TestConfigDictionary:
             PantsFlagConfig(x=2.0, a2=2.0, a3=1.5, b1=2.0, b3=2.0, c1=2.0, c2=2.0)
         with pytest.raises(ValueError):
             PantsFlagConfig(x=0.25, a2=2.0, a3=2.0, b1=2.0, b3=2.0, c1=2.0, c2=2.0)
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            FGPants((-45.0, -1.0, -45.0), (-1.0, 40.0, -1.0), 0.0, 0.0),  # b1 rounds to 1.0
+            FGPants((-1.0,) * 3, (-1.0, -1.0, -800.0), 0.0, 0.0),  # b3 overflows
+        ],
+        ids=["rounds_onto_bound", "overflows"],
+    )
+    def test_unrepresentable_valid_data(self, f):
+        assert validate_fg_domain(f)
+        with pytest.raises(DegenerateConfiguration, match="not representable"):
+            config_from_fg(f.sigma1, f.sigma2, f.tau_plus)
 
 
 class TestProjectiveInvariance:

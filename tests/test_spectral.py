@@ -121,6 +121,15 @@ class TestCheckWindow:
         assert not check
         assert any("positive" in msg for msg in check.failures)
 
+    @pytest.mark.parametrize("lam", [1e-200, 5e-324])
+    def test_underflowing_square(self, lam):
+        # lam * lam is 0.0: the upper bound is infinite instead of a division by zero
+        check = check_window(lam, 6.0)
+        assert not check
+        assert check.upper == math.inf
+        assert len(check.failures) == 1 and "lower bound" in check.failures[0]
+        assert check_window(lam, 4.0 / math.sqrt(lam))
+
     def test_edges_rejected(self):
         assert not check_window(0.25, 4.0)
         assert not check_window(0.25, 4.0 + 5e-13)

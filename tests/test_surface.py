@@ -10,6 +10,7 @@ from convexproj.errors import (
     NonNegativeEuler,
     SlotReuse,
     UnknownCurve,
+    WindowViolation,
 )
 from convexproj.pants import FGPants
 from convexproj.sampling import random_surface_goldman
@@ -259,6 +260,12 @@ class TestClosure:
             bd_to_goldman(d, bad)
         assert "c" in str(err.value)
         assert err.value.report is not None
+
+    def test_window_violation_names_pants(self):
+        # all six lengths are positive, but lambda = e^-802 underflows to 0.0
+        f = FGPants((-1.0,) * 3, (-1.0,) * 3, 0.0, -1200.0)
+        with pytest.raises(WindowViolation, match=r"^pants 'P0': lambda must be"):
+            bd_to_goldman(pants_surface(), SurfaceBD({"P0": f}, {}))
 
 
 class TestFlows:
