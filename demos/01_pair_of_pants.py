@@ -7,19 +7,21 @@ shear/triangle data and back.
 
 import math
 
-from convexproj import (
-    BoundaryInvariant,
+from convexproj.pants import (
     GoldmanPants,
     boundary_lengths,
-    check_window,
     crossratios,
-    eigen_from_boundary,
     fg_to_goldman,
     goldman_to_fg,
     internal_consistency,
+    solve_s,
+)
+from convexproj.spectral import (
+    BoundaryInvariant,
+    check_window,
+    eigen_from_boundary,
     length_functions,
     reverse_orientation,
-    solve_s,
 )
 
 print("=== one boundary curve ===")

@@ -9,16 +9,15 @@ way they move the ideal triangles.
 
 import numpy as np
 
-from convexproj import (
-    FGPants,
+from convexproj.flags import (
     config_from_fg,
-    eigen_from_boundary,
     fg_from_config,
-    fg_to_goldman,
     oracle_check,
     reconstruct_monodromy,
     triple_ratio_log,
 )
+from convexproj.pants import FGPants, fg_to_goldman
+from convexproj.spectral import eigen_from_boundary
 
 np.set_printoptions(precision=6, suppress=True)
 

@@ -8,7 +8,8 @@ data satisfies across every gluing curve.
 
 import numpy as np
 
-from convexproj import (
+from convexproj.sampling import random_surface_goldman
+from convexproj.surface import (
     ArcData,
     BoundarySlot,
     Gluing,
@@ -18,7 +19,6 @@ from convexproj import (
     goldman_to_bd,
     validate_closure,
 )
-from convexproj.sampling import random_surface_goldman
 
 rng = np.random.default_rng(2024)
 

@@ -8,7 +8,8 @@ with changing coordinates.
 
 import numpy as np
 
-from convexproj import (
+from convexproj.sampling import random_surface_goldman
+from convexproj.surface import (
     ArcData,
     BoundarySlot,
     Gluing,
@@ -17,7 +18,6 @@ from convexproj import (
     goldman_to_bd,
     twist_flow,
 )
-from convexproj.sampling import random_surface_goldman
 
 rng = np.random.default_rng(7)
 

@@ -9,7 +9,7 @@ vertices move.
 
 from pathlib import Path
 
-from convexproj import config_from_fg
+from convexproj.flags import config_from_fg
 from convexproj.render import render_config_svg
 
 out_dir = Path(__file__).resolve().parent

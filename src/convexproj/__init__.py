@@ -11,73 +11,10 @@ fileio   : the JSON coordinate-file format
 render   : SVG picture of the normalized flag configuration
 sampling : random tuples for tests and demos
 cli      : the `convexproj` command line tool
-"""
+errors   : the CoordinateError hierarchy and each class's CLI exit code
 
-from .errors import (
-    BoundaryCurve,
-    ChartFailure,
-    ClosureViolation,
-    CoordinateError,
-    CountMismatch,
-    DegenerateConfiguration,
-    DomainViolation,
-    NonNegativeEuler,
-    NonPositiveRatio,
-    NoPositiveRoot,
-    NoValidBranch,
-    SchemaError,
-    SlotReuse,
-    UnknownCurve,
-    WindowViolation,
-)
-from .spectral import (
-    BoundaryInvariant,
-    EigenTriple,
-    LengthPair,
-    boundary_from_eigen,
-    check_window,
-    eigen_from_boundary,
-    length_functions,
-    reverse_orientation,
-)
-from .pants import (
-    FGPants,
-    GoldmanPants,
-    boundary_lengths,
-    crossratios,
-    fg_to_goldman,
-    goldman_to_fg,
-    internal_consistency,
-    solve_s,
-    validate_fg_domain,
-)
-from .flags import (
-    Flag,
-    PantsFlagConfig,
-    ProjPoint,
-    config_from_fg,
-    fg_from_config,
-    oracle_check,
-    reconstruct_monodromy,
-    shear_logs,
-    triple_ratio_log,
-    wedge2,
-    wedge3,
-)
-from .surface import (
-    ArcData,
-    BoundarySlot,
-    Gluing,
-    PantsDecomposition,
-    SurfaceBD,
-    SurfaceGoldman,
-    bd_to_goldman,
-    build_decomposition,
-    bulge_flow,
-    coordinate_count,
-    goldman_to_bd,
-    twist_flow,
-    validate_closure,
-)
+Import each name from the module that defines it, e.g.
+``from convexproj.pants import goldman_to_fg``.
+"""
 
 __version__ = "0.1.0"

@@ -22,13 +22,14 @@ import argparse
 import os
 import sys
 import traceback
+from contextlib import contextmanager
 
 from . import fileio
 from .errors import CoordinateError, DomainViolation, SchemaError
 from .flags import config_from_fg, oracle_check, reconstruct_monodromy
-from .pants import crossratios, fg_to_goldman, internal_consistency, validate_fg_domain
+from .pants import crossratios, internal_consistency, validate_fg_domain
 from .render import render_config_svg
-from .spectral import check_window, eigen_from_boundary
+from .spectral import check_window
 from .surface import (
     bd_to_goldman,
     bulge_flow,
@@ -39,6 +40,15 @@ from .surface import (
 )
 
 ORACLE_GATE = 1e-9
+
+
+@contextmanager
+def _naming_pants(key: str):
+    """Prefix the pants key to a CoordinateError raised in the block."""
+    try:
+        yield
+    except CoordinateError as err:
+        raise type(err)(f"pants {key!r}: {err}") from err
 
 
 def cmd_convert(args) -> int:
@@ -77,7 +87,8 @@ def _validate_goldman(cf: fileio.CoordinateFile) -> bool:
         return ok
     g = cf.goldman()
     for key in sorted(d.pants):
-        report = internal_consistency(pants_goldman(d, g, key))
+        with _naming_pants(key):
+            report = internal_consistency(pants_goldman(d, g, key))
         good = report.max_residual <= 1e-9 and all(r > 1.0 for r in report.crossratios)
         ok = ok and good
         print(f"{'PASS' if good else 'FAIL'} pants {key}: crossratio identities, "
@@ -93,7 +104,8 @@ def _validate_bd(cf: fileio.CoordinateFile) -> bool:
         f = b.pants[key]
         check = validate_fg_domain(f)
         if check:
-            rho = crossratios(f)
+            with _naming_pants(key):
+                rho = crossratios(f)
             good = all(r > 1.0 for r in rho)
             ok = ok and good
             print(f"{'PASS' if good else 'FAIL'} pants {key}: lengths positive, "
@@ -125,10 +137,8 @@ def cmd_oracle(args) -> int:
     worst = 0.0
     for key in sorted(b.pants):
         f = b.pants[key]
-        try:
+        with _naming_pants(key):
             report = oracle_check(f)
-        except CoordinateError as err:
-            raise type(err)(f"pants {key!r}: {err}") from err
         worst = max(worst, report.max_residual)
         print(
             f"pants {key}: shear residuals "
@@ -137,9 +147,8 @@ def cmd_oracle(args) -> int:
             f"triangle-sum residual {report.tau_sum_residual:.3e}"
         )
         if args.monodromy:
-            config = config_from_fg(f.sigma1, f.sigma2, f.tau_plus)
-            eigen = [eigen_from_boundary(inv) for inv in fg_to_goldman(f).boundary]
-            result = reconstruct_monodromy(config, eigen)
+            eigen = report.eigen
+            result = reconstruct_monodromy(report.config, eigen)
             for i, branches in enumerate(result.branches):
                 best = branches[0]
                 print(
@@ -175,13 +184,11 @@ def cmd_render(args) -> int:
     if args.pants not in b.pants:
         raise SchemaError(f"no pants {args.pants!r} in this file")
     f = b.pants[args.pants]
-    try:
+    with _naming_pants(args.pants):
         check = validate_fg_domain(f)
         if not check:
             raise DomainViolation("; ".join(check.failures))
         svg = render_config_svg(config_from_fg(f.sigma1, f.sigma2, f.tau_plus))
-    except CoordinateError as err:
-        raise type(err)(f"pants {args.pants!r}: {err}") from err
     with open(args.output, "w", encoding="utf-8") as handle:
         handle.write(svg)
     return 0

@@ -92,24 +92,20 @@ class Flag:
     """A point together with a line through it.
 
     The point carries the 1-dimensional part, the line covector the
-    2-dimensional part; incidence is required at construction.
+    2-dimensional part; incidence is required at construction.  Both are
+    stored as unit vectors, the form every invariant below pairs them in.
     """
 
     point: np.ndarray
     line: np.ndarray
 
     def __init__(self, point, line):
-        pt = np.asarray(point, dtype=float).reshape(3)
-        ln = np.asarray(line, dtype=float).reshape(3)
-        if np.all(pt == 0.0) or np.all(ln == 0.0):
-            raise ValueError("flag components must be nonzero")
-        if abs(float(np.dot(_unit(ln), _unit(pt)))) > 1e-12:
+        pt = _unit(np.asarray(point, dtype=float).reshape(3))
+        ln = _unit(np.asarray(line, dtype=float).reshape(3))
+        if abs(float(np.dot(ln, pt))) > 1e-12:
             raise ValueError("flag line does not pass through the flag point")
         object.__setattr__(self, "point", pt)
         object.__setattr__(self, "line", ln)
-
-    def normalized(self) -> "Flag":
-        return Flag(_unit(self.point), _unit(self.line))
 
 
 def _pairing(line: np.ndarray, point: np.ndarray, what: str) -> float:
@@ -127,7 +123,6 @@ def triple_ratio_log(f1: Flag, f2: Flag, f3: Flag) -> float:
     invariant under rescaling each flag and under volume-preserving linear
     changes of coordinates, and is cyclically invariant.
     """
-    f1, f2, f3 = f1.normalized(), f2.normalized(), f3.normalized()
     ratio = (
         _pairing(f1.line, f2.point, "l1.p2")
         / _pairing(f3.line, f2.point, "l3.p2")
@@ -156,7 +151,6 @@ def shear_logs(fpos: Flag, fneg: Flag, fup: Flag, fdown_point: ProjPoint) -> tup
     and `fdown_point` is the third vertex of the lower triangle (only its
     point enters).  Returns (sigma1, sigma2).
     """
-    fpos, fneg, fup = fpos.normalized(), fneg.normalized(), fup.normalized()
     down = _unit(fdown_point.coords)
     d_up = _det(fpos.point, fneg.point, fup.point, "pos^neg^up")
     d_down = _det(fpos.point, fneg.point, down, "pos^neg^down")
@@ -278,13 +272,16 @@ def _shear_flag_arguments(c: PantsFlagConfig, i: int):
 
 @dataclass(frozen=True)
 class OracleReport:
-    """Residuals of the wedge-product recomputation against the input tuple."""
+    """Residuals of the wedge-product recomputation against the input tuple,
+    with the configuration and boundary spectra they were computed from."""
 
     sigma1_residuals: tuple[float, float, float]
     sigma2_residuals: tuple[float, float, float]
     tau_plus_residual: float
     tau_sum_residual: float
     max_residual: float
+    config: PantsFlagConfig
+    eigen: tuple[EigenTriple, EigenTriple, EigenTriple]
 
 
 def oracle_check(f: FGPants) -> OracleReport:
@@ -305,10 +302,10 @@ def oracle_check(f: FGPants) -> OracleReport:
         res1.append(abs(s1 - f.sigma1[i]))
         res2.append(abs(s2 - f.sigma2[i]))
     tau_res = abs(triple_ratio_log(*c.inner_flags) - f.tau_plus)
-    log_mu_sum = sum(math.log(eigen_from_boundary(b).mu) for b in g.boundary)
-    tau_sum_res = abs(f.tau_plus + f.tau_minus + log_mu_sum)
+    eigen = tuple(eigen_from_boundary(b) for b in g.boundary)
+    tau_sum_res = abs(f.tau_plus + f.tau_minus + sum(math.log(e.mu) for e in eigen))
     all_res = (*res1, *res2, tau_res, tau_sum_res)
-    return OracleReport(tuple(res1), tuple(res2), tau_res, tau_sum_res, max(all_res))
+    return OracleReport(tuple(res1), tuple(res2), tau_res, tau_sum_res, max(all_res), c, eigen)
 
 
 @dataclass(frozen=True)
@@ -344,8 +341,9 @@ def _quadratic_roots(a: float, b: float, c: float) -> list[float]:
 
 
 def _branch_quality(m: np.ndarray, target: EigenTriple, line: np.ndarray):
-    """(spectrum residual, flag residual) of a candidate matrix, or None when
-    the spectrum is not real positive in the target's order."""
+    """(spectrum residual, flag residual) of a candidate matrix against the
+    unit flag line, or None when the spectrum is not real positive in the
+    target's order."""
     values, vectors = np.linalg.eig(m)
     if np.any(np.abs(values.imag) > SPECTRUM_TOL * np.maximum(1.0, np.abs(values.real))):
         return None
@@ -359,7 +357,7 @@ def _branch_quality(m: np.ndarray, target: EigenTriple, line: np.ndarray):
     if spectrum_residual > SPECTRUM_TOL:
         return None
     mu_vector = np.real(vectors[:, order[1]])
-    flag_residual = abs(float(np.dot(_unit(line), _unit(mu_vector))))
+    flag_residual = abs(float(np.dot(line, _unit(mu_vector))))
     return spectrum_residual, flag_residual
 
 

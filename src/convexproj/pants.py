@@ -37,8 +37,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainViolation, NoPositiveRoot
+from .errors import (
+    CoordinateError,
+    DegenerateConfiguration,
+    DomainViolation,
+    NoPositiveRoot,
+    WindowViolation,
+)
 from .spectral import BoundaryInvariant, LengthPair, eigen_from_boundary
+
+
+def _exp(x: float, what: str, error: type[CoordinateError]) -> float:
+    """e^x, raising `error` naming the value when it overflows a float."""
+    try:
+        return math.exp(x)
+    except OverflowError as err:
+        raise error(f"{what} = exp({x!r}) overflows a float") from err
+
 
 def _log1pexp(x: float) -> float:
     """log(1 + e^x) without overflow for large positive x."""
@@ -127,8 +142,9 @@ def validate_fg_domain(f: FGPants) -> DomainCheck:
 def fg_to_goldman(f: FGPants) -> GoldmanPants:
     """Evaluate the closed-form map from shear/triangle data to Goldman data.
 
-    Raises DomainViolation when the length-positivity test fails; on the
-    valid domain every produced boundary pair satisfies the window.
+    Raises DomainViolation when the length-positivity test fails, and
+    WindowViolation when valid data far out (a shear of -800) puts a Goldman
+    value beyond the float range: lambda underflows, or tau, s or t overflows.
     """
     check = validate_fg_domain(f)
     if not check:
@@ -144,14 +160,15 @@ def fg_to_goldman(f: FGPants) -> GoldmanPants:
         log_mu = (a1 - a2 - b1 + b2 - total) / 3.0
         ell1 = -a1 - b2
         # tau = mu + nu = mu * (1 + e^ell1)
-        tau = math.exp(log_mu + _log1pexp(ell1))
+        tau = _exp(log_mu + _log1pexp(ell1), f"tau(A{i + 1})", WindowViolation)
         invariants.append(BoundaryInvariant(math.exp(log_lam), tau))
-    s = math.exp((sum(f.sigma1) - sum(f.sigma2)) / 6.0)
-    t = math.exp(
+    s = _exp((sum(f.sigma1) - sum(f.sigma2)) / 6.0, "s", WindowViolation)
+    t = _exp(
         -f.tau_plus
         + _log1pexp(-f.sigma2[1])
         + _log1pexp(-f.sigma2[2])
-        - _log1pexp(f.sigma1[2])
+        - _log1pexp(f.sigma1[2]),
+        "t", WindowViolation,
     )
     return GoldmanPants(tuple(invariants), s, t)
 
@@ -200,11 +217,13 @@ def crossratios(f: FGPants) -> tuple[float, float, float]:
         rho_3 = (e^{-sigma2(B_2)}+1)(e^{sigma1(B_1)}+1)
 
     (the triangle invariant cancels in rho_2).  Each factor exceeds 1 or the
-    product does, so every crossratio is greater than 1.
+    product does, so every crossratio is greater than 1.  Like
+    `flags.config_from_fg`, raises DegenerateConfiguration when a crossratio
+    overflows a float, which valid data can make it do.
     """
-    rho1 = math.exp(_log1pexp(-f.sigma2[2]) + _log1pexp(f.sigma1[1]))
-    rho2 = math.exp(_log1pexp(f.sigma1[2]) + _log1pexp(-f.sigma2[0]))
-    rho3 = math.exp(_log1pexp(-f.sigma2[1]) + _log1pexp(f.sigma1[0]))
+    rho1 = _exp(_log1pexp(-f.sigma2[2]) + _log1pexp(f.sigma1[1]), "rho1", DegenerateConfiguration)
+    rho2 = _exp(_log1pexp(f.sigma1[2]) + _log1pexp(-f.sigma2[0]), "rho2", DegenerateConfiguration)
+    rho3 = _exp(_log1pexp(-f.sigma2[1]) + _log1pexp(f.sigma1[0]), "rho3", DegenerateConfiguration)
     return (rho1, rho2, rho3)
 
 

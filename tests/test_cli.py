@@ -232,6 +232,37 @@ class TestOracle:
         expect_one_error(result, 3, "pants 'P0': flag configuration is not representable")
 
 
+class TestOverflow:
+    """Valid data whose Goldman values or crossratios overflow a float exits 3
+    naming the pants, with no traceback."""
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            (("validate",), "pants 'P0': rho1 = exp(800.3132616875182) overflows a float"),
+            (("oracle",), "pants 'P0': t = exp(801.0) overflows a float"),
+            (("convert", "--to", "goldman", "out.json"),
+             "pants 'P0': t = exp(801.0) overflows a float"),
+        ],
+        ids=["validate", "oracle", "convert"],
+    )
+    def test_shear_minus_800(self, tmp_path, command, message):
+        bad = write_bd_pants(tmp_path / "bad.json", *UNREPRESENTABLE["overflows"])
+        result = run_cli(command[0], bad, *command[1:], cwd=tmp_path)
+        expect_one_error(result, 3, message)
+
+    def test_s_overflows(self, tmp_path):
+        bad = write_bd_pants(tmp_path / "bad.json", [1500.0] * 3, [-1501.0] * 3)
+        result = run_cli("oracle", bad)
+        expect_one_error(result, 3, "pants 'P0': s = exp(1500.5) overflows a float")
+
+    def test_goldman_crossratio_overflows(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(set_pants_value("s", 1e300)((SAMPLES / "pants_goldman.json").read_text()))
+        result = run_cli("validate", bad)
+        expect_one_error(result, 3, "pants 'P0': rho1 = exp(")
+
+
 class TestFlow:
     def test_twist_shifts_curve_shears(self, tmp_path, torus_bd):
         out = tmp_path / "flowed.json"

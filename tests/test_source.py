@@ -15,3 +15,16 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_package_namespace_holds_only_the_version():
+    # each name has one import path: the module that defines it
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imports = [node.lineno for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    bound = {node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+    bound |= {node.name for node in ast.walk(tree)
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    assert imports == []
+    assert bound == {"__version__"}
