@@ -22,10 +22,9 @@ import argparse
 import os
 import sys
 import traceback
-from contextlib import contextmanager
 
 from . import fileio
-from .errors import CoordinateError, DomainViolation, SchemaError
+from .errors import CoordinateError, DomainViolation, SchemaError, located
 from .flags import config_from_fg, oracle_check, reconstruct_monodromy
 from .pants import crossratios, internal_consistency, validate_fg_domain
 from .render import render_config_svg
@@ -40,15 +39,6 @@ from .surface import (
 )
 
 ORACLE_GATE = 1e-9
-
-
-@contextmanager
-def _naming_pants(key: str):
-    """Prefix the pants key to a CoordinateError raised in the block."""
-    try:
-        yield
-    except CoordinateError as err:
-        raise type(err)(f"pants {key!r}: {err}") from err
 
 
 def cmd_convert(args) -> int:
@@ -72,7 +62,7 @@ def _validate_goldman(cf: fileio.CoordinateFile) -> bool:
         check = check_window(entry["lambda"], entry["tau"])
         if check:
             print(f"PASS curve {key}: window ok "
-                  f"({check.lower:.6g} < tau={check.tau:.6g} < {check.upper:.6g})")
+                  f"({check.lower:.6g} < tau={entry['tau']:.6g} < {check.upper:.6g})")
         else:
             ok = False
             print(f"FAIL curve {key}: {'; '.join(check.failures)}")
@@ -87,7 +77,7 @@ def _validate_goldman(cf: fileio.CoordinateFile) -> bool:
         return ok
     g = cf.goldman()
     for key in sorted(d.pants):
-        with _naming_pants(key):
+        with located(f"pants {key!r}"):
             report = internal_consistency(pants_goldman(d, g, key))
         good = report.max_residual <= 1e-9 and all(r > 1.0 for r in report.crossratios)
         ok = ok and good
@@ -104,7 +94,7 @@ def _validate_bd(cf: fileio.CoordinateFile) -> bool:
         f = b.pants[key]
         check = validate_fg_domain(f)
         if check:
-            with _naming_pants(key):
+            with located(f"pants {key!r}"):
                 rho = crossratios(f)
             good = all(r > 1.0 for r in rho)
             ok = ok and good
@@ -136,9 +126,8 @@ def cmd_oracle(args) -> int:
     b = cf.bd()
     worst = 0.0
     for key in sorted(b.pants):
-        f = b.pants[key]
-        with _naming_pants(key):
-            report = oracle_check(f)
+        with located(f"pants {key!r}"):
+            report = oracle_check(b.pants[key])
         worst = max(worst, report.max_residual)
         print(
             f"pants {key}: shear residuals "
@@ -168,11 +157,8 @@ def cmd_flow(args) -> int:
     coords = cf.goldman() if cf.system == fileio.GOLDMAN else cf.bd()
     coords = twist_flow(coords, args.curve, args.twist, decomposition=d)
     coords = bulge_flow(coords, args.curve, args.bulge, decomposition=d)
-    if cf.system == fileio.GOLDMAN:
-        out = fileio.file_from_goldman(d, coords)
-    else:
-        out = fileio.file_from_bd(d, coords)
-    fileio.save_file(args.output, out)
+    to_file = fileio.file_from_goldman if cf.system == fileio.GOLDMAN else fileio.file_from_bd
+    fileio.save_file(args.output, to_file(d, coords))
     return 0
 
 
@@ -184,7 +170,7 @@ def cmd_render(args) -> int:
     if args.pants not in b.pants:
         raise SchemaError(f"no pants {args.pants!r} in this file")
     f = b.pants[args.pants]
-    with _naming_pants(args.pants):
+    with located(f"pants {args.pants!r}"):
         check = validate_fg_domain(f)
         if not check:
             raise DomainViolation("; ".join(check.failures))

@@ -2,8 +2,11 @@
 
 Each class carries the command-line exit code for its kind of failure:
 domain errors keep the base class's 3, input-structure errors set 2,
-flow-target errors 4 and chart errors 5.
+flow-target errors 4 and chart errors 5.  `located` is the one place an
+error gains the location (pants key, JSON path) it was raised under.
 """
+
+from contextlib import contextmanager
 
 
 class CoordinateError(Exception):
@@ -12,12 +15,22 @@ class CoordinateError(Exception):
     exit_code = 3
 
 
+@contextmanager
+def located(where: str):
+    """Re-raise a CoordinateError from the block with the prefix ``where: ``."""
+    try:
+        yield
+    except CoordinateError as err:
+        raise type(err)(f"{where}: {err}") from err
+
+
 class WindowViolation(CoordinateError):
     """A (lambda, tau) pair lies outside Goldman's open boundary window."""
 
 
 class DomainViolation(CoordinateError):
-    """Shear/triangle data fails the length-positivity conditions."""
+    """Shear/triangle data fails the length-positivity conditions, or a
+    computed value leaves the float range."""
 
 
 class NoPositiveRoot(CoordinateError):
@@ -25,7 +38,7 @@ class NoPositiveRoot(CoordinateError):
 
 
 class DegenerateConfiguration(CoordinateError):
-    """A flag pairing or determinant is numerically zero."""
+    """A flag pairing or determinant is zero, or a flag configuration is not representable."""
 
 
 class NonPositiveRatio(CoordinateError):

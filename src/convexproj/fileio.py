@@ -35,10 +35,11 @@ round-trip representation (at most 17 significant digits).
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import SchemaError, WindowViolation
+from .errors import DomainViolation, SchemaError, located
 from .pants import FGPants
 from .spectral import BoundaryInvariant
 from .surface import (
@@ -115,17 +116,14 @@ class CoordinateFile:
     def goldman(self) -> SurfaceGoldman:
         if self.system != GOLDMAN:
             raise SchemaError(f"file holds {self.system!r} values, not goldman")
-        internal = set(self.decomposition.internal_curves())
         curves = {}
         for key, entry in self.curve_values.items():
-            try:
+            with located(f"values.curves[{key!r}]"):
                 curves[key] = BoundaryInvariant(entry["lambda"], entry["tau"])
-            except WindowViolation as err:
-                raise WindowViolation(f"values.curves[{key!r}]: {err}") from err
         uv = {
             key: (entry["u"], entry["v"])
             for key, entry in self.curve_values.items()
-            if key in internal
+            if "u" in entry
         }
         pants = {key: (entry["s"], entry["t"]) for key, entry in self.pants_values.items()}
         return SurfaceGoldman(curves, uv, pants)
@@ -165,7 +163,7 @@ def _parse_surface(raw) -> PantsDecomposition:
         arc_raw = _expect_object(entry["arc"], f"{path}.arc", ("left", "right"))
         try:
             arc = ArcData(arc_raw["left"], arc_raw["right"])
-        except (ValueError, TypeError) as err:
+        except ValueError as err:
             _fail(f"{path}.arc", str(err))
         gluings.append(
             Gluing(
@@ -221,24 +219,18 @@ def _parse_values(raw, system: str, d: PantsDecomposition):
         path = f"values.pants[{key!r}]"
         if key not in d.pants:
             _fail(path, "pants does not exist in the surface")
-        if system == GOLDMAN:
-            entry = _expect_object(entry, path, ("s", "t"))
-            pants_values[key] = {
-                name: _expect_number(entry[name], f"{path}.{name}") for name in ("s", "t")
-            }
-        else:
-            entry = _expect_object(entry, path, ("sigma1", "sigma2", "tau_plus", "tau_minus"))
-            parsed = {}
-            for name in ("sigma1", "sigma2"):
+        fields = ("s", "t") if system == GOLDMAN else ("sigma1", "sigma2", "tau_plus", "tau_minus")
+        entry = _expect_object(entry, path, fields)
+        parsed = {}
+        for name in fields:
+            if name in ("sigma1", "sigma2"):
                 seq = entry[name]
                 if not isinstance(seq, list) or len(seq) != 3:
                     _fail(f"{path}.{name}", "expected a list of three numbers")
-                parsed[name] = [
-                    _expect_number(v, f"{path}.{name}[{i}]") for i, v in enumerate(seq)
-                ]
-            for name in ("tau_plus", "tau_minus"):
+                parsed[name] = [_expect_number(v, f"{path}.{name}[{i}]") for i, v in enumerate(seq)]
+            else:
                 parsed[name] = _expect_number(entry[name], f"{path}.{name}")
-            pants_values[key] = parsed
+        pants_values[key] = parsed
     missing = set(d.pants) - set(pants_values)
     if missing:
         _fail("values.pants", f"missing entries for pants {sorted(missing)!r}")
@@ -333,9 +325,21 @@ def dumps(cf: CoordinateFile) -> str:
         "system": cf.system,
         "values": {"curves": cf.curve_values, "pants": cf.pants_values},
     }
-    return json.dumps(document, indent=2, allow_nan=False) + "\n"
+    try:
+        return json.dumps(document, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        # a conversion or flow can carry a value past the float range; flow amounts may be nan
+        for group, entries in (("curves", cf.curve_values), ("pants", cf.pants_values)):
+            for key, entry in entries.items():
+                for name, value in entry.items():
+                    if not all(map(math.isfinite, value if isinstance(value, list) else [value])):
+                        raise DomainViolation(
+                            f"values.{group}[{key!r}].{name}: {value!r} is not a finite number"
+                        ) from None
+        raise
 
 
 def save_file(path, cf: CoordinateFile):
+    text = dumps(cf)
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps(cf))
+        handle.write(text)

@@ -32,8 +32,8 @@ from .errors import DegenerateConfiguration, NonPositiveRatio, NoValidBranch
 from .pants import FGPants, fg_to_goldman
 from .spectral import EigenTriple, eigen_from_boundary
 
-# Pairings/determinants of normalized vectors below this magnitude are
-# treated as genuine degeneracy rather than roundoff.
+# Coordinates below this fraction of a point's largest one are not used as
+# the pivot of its canonical representative.
 DEGENERACY_TOL = 1e-12
 
 # Agreement required of a reconstructed holonomy spectrum.
@@ -110,8 +110,8 @@ class Flag:
 
 def _pairing(line: np.ndarray, point: np.ndarray, what: str) -> float:
     value = float(np.dot(line, point))
-    if abs(value) < DEGENERACY_TOL:
-        raise DegenerateConfiguration(f"pairing {what} is numerically zero ({value!r})")
+    if value == 0.0:
+        raise DegenerateConfiguration(f"pairing {what} is zero")
     return value
 
 
@@ -138,8 +138,8 @@ def triple_ratio_log(f1: Flag, f2: Flag, f3: Flag) -> float:
 
 def _det(u, v, w, what: str) -> float:
     value = wedge3(u, v, w)
-    if abs(value) < DEGENERACY_TOL:
-        raise DegenerateConfiguration(f"determinant {what} is numerically zero ({value!r})")
+    if value == 0.0:
+        raise DegenerateConfiguration(f"determinant {what} is zero")
     return value
 
 
@@ -313,8 +313,6 @@ class MonodromyBranch:
     """One real solution of the scaling equations, with its quality measures."""
 
     matrix: np.ndarray
-    beta: float
-    gamma: float
     spectrum_residual: float
     flag_residual: float
 
@@ -409,7 +407,7 @@ def reconstruct_monodromy(c: PantsFlagConfig, eigen) -> MonodromyResult:
             quality = _branch_quality(m, eigen[i], lines[i])
             if quality is None:
                 continue
-            branches.append(MonodromyBranch(m, beta, gamma, quality[0], quality[1]))
+            branches.append(MonodromyBranch(m, *quality))
         if not branches:
             raise NoValidBranch(
                 f"no scaling branch for vertex {i + 1} matches the required spectrum"

@@ -108,12 +108,11 @@ class FGPants:
 class DomainCheck:
     """Result of the length-positivity test, listing all six lengths."""
 
-    ok: bool
     lengths: tuple[LengthPair, LengthPair, LengthPair]
     failures: tuple[str, ...]
 
     def __bool__(self) -> bool:
-        return self.ok
+        return not self.failures
 
 
 def boundary_lengths(f: FGPants) -> tuple[LengthPair, LengthPair, LengthPair]:
@@ -136,7 +135,7 @@ def validate_fg_domain(f: FGPants) -> DomainCheck:
             failures.append(f"ell1(A{i + 1}) = {pair.ell1!r} is not positive")
         if not pair.ell2 > 0:
             failures.append(f"ell2(A{i + 1}) = {pair.ell2!r} is not positive")
-    return DomainCheck(not failures, lengths, tuple(failures))
+    return DomainCheck(lengths, tuple(failures))
 
 
 def fg_to_goldman(f: FGPants) -> GoldmanPants:
@@ -158,9 +157,8 @@ def fg_to_goldman(f: FGPants) -> GoldmanPants:
         b2 = f.sigma2[(i - 1) % 3]
         log_lam = (a1 + 2.0 * a2 + 2.0 * b1 + b2 + 2.0 * total) / 3.0
         log_mu = (a1 - a2 - b1 + b2 - total) / 3.0
-        ell1 = -a1 - b2
         # tau = mu + nu = mu * (1 + e^ell1)
-        tau = _exp(log_mu + _log1pexp(ell1), f"tau(A{i + 1})", WindowViolation)
+        tau = _exp(log_mu + _log1pexp(check.lengths[i].ell1), f"tau(A{i + 1})", WindowViolation)
         invariants.append(BoundaryInvariant(math.exp(log_lam), tau))
     s = _exp((sum(f.sigma1) - sum(f.sigma2)) / 6.0, "s", WindowViolation)
     t = _exp(

@@ -43,17 +43,12 @@ def _label(v) -> str:
 
 def render_config_svg(config: PantsFlagConfig) -> str:
     """SVG document showing the four triangles and the three flag lines."""
-    p = [pt for pt in config.inner_points]
-    q = [op.coords for op in config.outer_points]
-    meets = config.intersection_points
-
-    charted = {}
-    for name, vec in (
-        ("p1", p[0]), ("p2", p[1]), ("p3", p[2]),
-        ("q1", q[0]), ("q2", q[1]), ("q3", q[2]),
-        ("m13", meets[0]), ("m12", meets[1]), ("m23", meets[2]),
-    ):
-        charted[name] = chart_point(vec)
+    vertices = dict(zip(
+        ("p1", "p2", "p3", "q1", "q2", "q3"),
+        (*config.inner_points, *(op.coords for op in config.outer_points)),
+    ))
+    meets = dict(zip(("m13", "m12", "m23"), config.intersection_points))
+    charted = {name: chart_point(vec) for name, vec in {**vertices, **meets}.items()}
 
     triangles = [
         ("p1", "p2", "p3"),          # upper triangle
@@ -105,11 +100,7 @@ def render_config_svg(config: PantsFlagConfig) -> str:
             f'<line x1="{a[0]:.2f}" y1="{a[1]:.2f}" x2="{b[0]:.2f}" y2="{b[1]:.2f}" '
             f'stroke="{_LINE_COLOR}" stroke-width="1.2" stroke-dasharray="6 3"/>'
         )
-    labelled = [
-        ("p1", p[0]), ("p2", p[1]), ("p3", p[2]),
-        ("q1", q[0]), ("q2", q[1]), ("q3", q[2]),
-    ]
-    for name, vec in labelled:
+    for name, vec in vertices.items():
         x, y = to_px(charted[name])
         parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="#111111"/>')
         parts.append(

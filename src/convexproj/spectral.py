@@ -7,7 +7,8 @@ to the open window
 
     2/sqrt(lam) < tau < lam + 1/lam**2,
 
-which is exactly the condition for (lam, tau) to come from such a spectrum.
+which together with 0 < lam < 1 is exactly the condition for (lam, tau) to
+come from such a spectrum (for lam >= 1 the bounds no longer force lam < mu).
 This module converts between the two presentations, evaluates the two
 length functions, and computes the effect of reversing the orientation of
 the curve (which inverts the spectrum).
@@ -30,19 +31,16 @@ EDGE_TOL = 1e-12
 class WindowCheck:
     """Outcome of the boundary-window test, with the bounds that were used."""
 
-    ok: bool
-    lam: float
-    tau: float
     lower: float
     upper: float
     failures: tuple[str, ...]
 
     def __bool__(self) -> bool:
-        return self.ok
+        return not self.failures
 
 
 def check_window(lam: float, tau: float) -> WindowCheck:
-    """Test 2/sqrt(lam) < tau < lam + 1/lam**2 with strict inequalities.
+    """Test 0 < lam < 1 and 2/sqrt(lam) < tau < lam + 1/lam**2, strictly.
 
     Total: never raises. The returned object is truthy iff the pair is
     admissible; otherwise ``failures`` names each violated bound.
@@ -50,7 +48,9 @@ def check_window(lam: float, tau: float) -> WindowCheck:
     failures = []
     if not (isinstance(lam, (int, float)) and math.isfinite(lam) and lam > 0):
         failures.append(f"lambda must be a positive finite real, got {lam!r}")
-        return WindowCheck(False, lam, tau, math.nan, math.nan, tuple(failures))
+        return WindowCheck(math.nan, math.nan, tuple(failures))
+    if lam >= 1.0:
+        failures.append(f"lambda={lam!r} is not below 1")
     lower = 2.0 / math.sqrt(lam)
     square = lam * lam
     # lam below about 1.5e-162 squares to 0.0: the upper bound is then infinite
@@ -66,7 +66,7 @@ def check_window(lam: float, tau: float) -> WindowCheck:
             failures.append(
                 f"tau={tau!r} is not below the upper bound lambda+1/lambda^2={upper!r}"
             )
-    return WindowCheck(not failures, lam, tau, lower, upper, tuple(failures))
+    return WindowCheck(lower, upper, tuple(failures))
 
 
 @dataclass(frozen=True)
@@ -114,11 +114,17 @@ def eigen_from_boundary(b: BoundaryInvariant) -> EigenTriple:
 
     mu and nu are the roots of z**2 - tau*z + 1/lambda = 0; the smaller root
     is computed from the product of roots to avoid cancellation when the
-    discriminant is close to tau**2.
+    discriminant is close to tau**2.  Raises WindowViolation when rounding
+    near a bound (or tau**2 overflowing) leaves no float spectrum lam < mu < nu.
     """
     disc = b.tau * b.tau - 4.0 / b.lam
-    nu = 0.5 * (b.tau + math.sqrt(disc))
+    nu = 0.5 * (b.tau + math.sqrt(disc)) if disc > 0.0 else math.nan
     mu = 1.0 / (b.lam * nu)
+    if not b.lam < mu < nu:
+        raise WindowViolation(
+            f"lambda={b.lam!r}, tau={b.tau!r} give no spectrum lambda < mu < nu "
+            f"in floating point (mu={mu!r}, nu={nu!r})"
+        )
     return EigenTriple(b.lam, mu, nu)
 
 

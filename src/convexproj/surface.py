@@ -34,7 +34,7 @@ from .errors import (
     NonNegativeEuler,
     SlotReuse,
     UnknownCurve,
-    WindowViolation,
+    located,
 )
 from .pants import FGPants, GoldmanPants, boundary_lengths, fg_to_goldman, goldman_to_fg
 from .spectral import BoundaryInvariant, LengthPair, reverse_orientation
@@ -97,7 +97,7 @@ class PantsDecomposition:
         return tuple(g.curve for g in self.gluings)
 
     def curve_names(self) -> tuple[str, ...]:
-        return tuple(g.curve for g in self.gluings) + tuple(b.curve for b in self.boundaries)
+        return self.internal_curves() + tuple(b.curve for b in self.boundaries)
 
     def slot_assignment(self, pants_key: str) -> list[tuple[str, str]]:
         """For each slot of a pants: (curve key, role), role in plus/minus/boundary."""
@@ -116,10 +116,11 @@ class PantsDecomposition:
 def build_decomposition(pants, gluings, boundaries) -> PantsDecomposition:
     """Validate the combinatorics and derive (genus, boundary count).
 
-    Every slot must be used exactly once.  The unglued slots determine n,
-    and g = (2 - n + #pants) / 2 must not be negative.  Once every slot is
-    used, 3 #pants = 2 #gluings + n, so g is automatically an integer and
-    the Euler characteristic is -#pants < 0.
+    Every slot must be used exactly once and the gluings must connect all
+    pants.  The unglued slots determine n and g = (2 - n + #pants) / 2.
+    Once every slot is used, 3 #pants = 2 #gluings + n, so g is an integer
+    and the Euler characteristic is -#pants < 0; connectivity gives
+    #gluings >= #pants - 1, so n <= #pants + 2 and g is not negative.
     """
     pants = tuple(pants)
     gluings = tuple(gluings)
@@ -151,13 +152,21 @@ def build_decomposition(pants, gluings, boundaries) -> PantsDecomposition:
     if len(seen) != 3 * len(pants):
         missing = sorted(valid - seen)
         raise CountMismatch(f"unused slots: {missing!r}")
+    neighbours: dict[str, list[str]] = {p: [] for p in pants}
+    for g in gluings:
+        neighbours[g.plus[0]].append(g.minus[0])
+        neighbours[g.minus[0]].append(g.plus[0])
+    reached, frontier = {pants[0]}, [pants[0]]
+    while frontier:
+        fresh = [p for p in neighbours[frontier.pop()] if p not in reached]
+        reached.update(fresh)
+        frontier += fresh
+    if len(reached) != len(pants):
+        unreached = [p for p in pants if p not in reached]
+        raise CountMismatch(f"the surface is not connected: no gluings lead from "
+                            f"{pants[0]!r} to pants {unreached!r}")
     n = len(boundaries)
-    twice_genus = 2 - n + len(pants)
-    if twice_genus < 0:
-        raise CountMismatch(
-            f"{len(pants)} pants with {n} boundary slots do not close up to a surface"
-        )
-    return PantsDecomposition(pants, gluings, boundaries, twice_genus // 2, n)
+    return PantsDecomposition(pants, gluings, boundaries, (2 - n + len(pants)) // 2, n)
 
 
 @dataclass(frozen=True)
@@ -222,10 +231,8 @@ def goldman_to_bd(d: PantsDecomposition, g: SurfaceGoldman) -> SurfaceBD:
     _check_goldman_keys(d, g)
     fg = {}
     for pants_key in d.pants:
-        try:
+        with located(f"pants {pants_key!r}"):
             fg[pants_key] = goldman_to_fg(pants_goldman(d, g, pants_key))
-        except (WindowViolation, DomainViolation) as err:
-            raise type(err)(f"pants {pants_key!r}: {err}") from err
     shears = {
         curve: (u - 3.0 * v, u + 3.0 * v) for curve, (u, v) in g.uv.items()
     }
@@ -240,7 +247,6 @@ class CurveClosure:
     ell1 must match the minus-side ell2 and vice versa.
     """
 
-    curve: str
     plus_lengths: LengthPair
     minus_lengths: LengthPair
 
@@ -283,7 +289,7 @@ def validate_closure(d: PantsDecomposition, b: SurfaceBD) -> ClosureReport:
         minus_pants, minus_slot = g.minus
         lp = boundary_lengths(b.pants[plus_pants])[plus_slot]
         lm = boundary_lengths(b.pants[minus_pants])[minus_slot]
-        out[g.curve] = CurveClosure(g.curve, lp, lm)
+        out[g.curve] = CurveClosure(lp, lm)
     return ClosureReport(out)
 
 
@@ -295,17 +301,10 @@ def bd_to_goldman(d: PantsDecomposition, b: SurfaceBD) -> SurfaceGoldman:
         raise ClosureViolation(f"closure fails for curves {bad!r}", report)
     goldman = {}
     for pants_key in d.pants:
-        try:
+        with located(f"pants {pants_key!r}"):
             goldman[pants_key] = fg_to_goldman(b.pants[pants_key])
-        except (WindowViolation, DomainViolation) as err:
-            raise type(err)(f"pants {pants_key!r}: {err}") from err
-    curves = {}
-    for g in d.gluings:
-        pants_key, slot = g.plus
-        curves[g.curve] = goldman[pants_key].boundary[slot]
-    for bslot in d.boundaries:
-        pants_key, slot = bslot.slot
-        curves[bslot.curve] = goldman[pants_key].boundary[slot]
+    slots = [(g.curve, g.plus) for g in d.gluings] + [(b.curve, b.slot) for b in d.boundaries]
+    curves = {curve: goldman[pants_key].boundary[slot] for curve, (pants_key, slot) in slots}
     uv = {
         curve: (0.5 * (s1 + s2), (-s1 + s2) / 6.0)
         for curve, (s1, s2) in b.curve_shears.items()
@@ -316,16 +315,14 @@ def bd_to_goldman(d: PantsDecomposition, b: SurfaceBD) -> SurfaceGoldman:
 
 def _internal_curve(coords, curve: str, d: Optional[PantsDecomposition]):
     if isinstance(coords, SurfaceGoldman):
-        known = coords.curves
-        internal = coords.uv
+        known = curve in coords.curves
+        internal = curve in coords.uv
     else:
-        internal = coords.curve_shears
-        known = dict(internal)
-        if d is not None:
-            known = {name: None for name in d.curve_names()}
-    if curve not in known:
+        internal = curve in coords.curve_shears
+        known = curve in d.curve_names() if d is not None else internal
+    if not known:
         raise UnknownCurve(f"no curve {curve!r} in these coordinates")
-    if curve not in internal:
+    if not internal:
         raise BoundaryCurve(f"curve {curve!r} is a boundary component, flows need an internal curve")
 
 

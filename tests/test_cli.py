@@ -1,3 +1,6 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import re
@@ -6,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convexproj import cli, errors
 
@@ -99,6 +104,17 @@ def set_curve_value(curve, name, value):
     return mutator
 
 
+def set_window(curve, lam, tau):
+    def mutator(text):
+        return set_curve_value(curve, "tau", tau)(set_curve_value(curve, "lambda", lam)(text))
+    return mutator
+
+
+# (lambda, tau) pairs inside both window bounds with no float spectrum lambda < mu < nu
+MU_ROUNDS_ONTO_LAMBDA = (1e-30, 9.999999999999998e59)
+MU_UNDERFLOWS = (1e-100, 9.99999999999999e199)
+
+
 def expect_one_error(result, code, message):
     assert result.returncode == code
     assert "Traceback" not in result.stderr
@@ -121,15 +137,103 @@ class TestRejectedInput:
              "values.curves['a2']: tau=4.0 is not above the lower bound"),
             (set_curve_value("a1", "lambda", 1e-200), 3,
              "values.curves['a1']: tau=6.0 is not above the lower bound"),
+            (set_window("a1", 2.0, 2.0), 3, "values.curves['a1']: lambda=2.0 is not below 1"),
+            (set_window("a1", *MU_ROUNDS_ONTO_LAMBDA), 3, "pants 'P0': lambda=1e-30, tau="),
+            (set_window("a1", *MU_UNDERFLOWS), 3, "pants 'P0': lambda=1e-100, tau="),
         ],
         ids=["s_negative", "t_zero", "huge_integer", "duplicate_key", "tau_below_window",
-             "lambda_underflow"],
+             "lambda_underflow", "lambda_not_below_one", "mu_rounds_onto_lambda",
+             "mu_underflows"],
     )
     def test_convert_to_bd(self, tmp_path, mutator, code, message):
         bad = tmp_path / "bad.json"
         bad.write_text(mutator((SAMPLES / "pants_goldman.json").read_text()))
         result = run_cli("convert", bad, "--to", "bd", tmp_path / "out.json")
         expect_one_error(result, code, message)
+
+    def test_disconnected_surface(self, tmp_path):
+        data = json.loads((SAMPLES / "pants_goldman.json").read_text())
+        data["surface"]["pants"].append("Q0")
+        data["surface"]["boundaries"] += [{"curve": f"b{k}", "slot": ["Q0", k]} for k in range(3)]
+        data["values"]["curves"].update({f"b{k}": {"lambda": 0.2, "tau": 6.0} for k in range(3)})
+        data["values"]["pants"]["Q0"] = data["values"]["pants"]["P0"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        result = run_cli("validate", bad)
+        expect_one_error(result, 2, "the surface is not connected")
+
+    def test_overflowing_output_names_value(self, tmp_path):
+        # u + 3v of the gauge is -inf for v = 1.8e308; no output file is left behind
+        data = json.loads((SAMPLES / "torus_goldman.json").read_text())
+        data["values"]["curves"]["c1"]["v"] = 1.7976931348623157e308
+        bad, out = tmp_path / "bad.json", tmp_path / "out.json"
+        bad.write_text(json.dumps(data))
+        result = run_cli("convert", bad, "--to", "bd", out)
+        expect_one_error(result, 3, "values.curves['c1'].sigma1_C: -inf is not a finite number")
+        assert not out.exists()
+
+    def test_nan_flow_amount(self, tmp_path):
+        result = run_cli("flow", SAMPLES / "torus_goldman.json", "--curve", "c1",
+                         "--twist", "nan", tmp_path / "out.json")
+        expect_one_error(result, 3, "values.curves['c1'].u: nan is not a finite number")
+
+
+SAMPLE_DOCUMENTS = {
+    path.name: json.loads(path.read_text()) for path in sorted(SAMPLES.glob("*.json"))
+}
+
+
+def number_paths(node, path=()):
+    """Key paths to every number in a parsed JSON document."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        return [found for key, child in items for found in number_paths(child, path + (key,))]
+    return [path] if isinstance(node, float) else []
+
+
+EXTREME_FLOATS = st.sampled_from(
+    [0.0, -0.0, 5e-324, 1e-300, 1e-30, 1.0, 2.0, 1e30, 1e300, -1e300, 1.7976931348623157e308]
+) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def mutated_documents(draw):
+    """A sample document with one to four of its values set to extreme floats."""
+    document = copy.deepcopy(SAMPLE_DOCUMENTS[draw(st.sampled_from(sorted(SAMPLE_DOCUMENTS)))])
+    values = document["values"]
+    for path in draw(st.lists(st.sampled_from(number_paths(values)), min_size=1, max_size=4)):
+        node = values
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = draw(EXTREME_FLOATS)
+    return document
+
+
+def run_main(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([str(a) for a in argv])
+    return code, err.getvalue()
+
+
+@given(mutated_documents())
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+def test_fuzzed_documents_end_in_an_exit_code(tmp_path_factory, document):
+    # any input converts or fails with a documented exit code and one error line
+    work = tmp_path_factory.getbasetemp() / "fuzz"
+    work.mkdir(exist_ok=True)
+    source, bd = work / "in.json", work / "bd.json"
+    source.write_text(json.dumps(document))
+    bd.unlink(missing_ok=True)
+    for argv in [
+        ("validate", source),
+        ("convert", source, "--to", "bd", bd),
+        ("convert", source, "--to", "goldman", work / "goldman.json"),
+        ("convert", bd, "--to", "goldman", work / "back.json"),
+    ]:
+        code, err = run_main(*argv)
+        assert code in range(6), argv
+        assert len(err.splitlines()) == (1 if code >= 2 else 0), err
 
 
 class TestValidate:
@@ -181,6 +285,22 @@ class TestValidate:
         assert result.returncode == 1, result.stderr
         assert "FAIL curve a1" in result.stdout
         assert result.stderr == ""
+
+    def test_lambda_not_below_one_reported(self, tmp_path):
+        bad = tmp_path / "edge.json"
+        bad.write_text(set_window("a1", 2.0, 2.0)((SAMPLES / "pants_goldman.json").read_text()))
+        result = run_cli("validate", bad)
+        assert result.returncode == 1, result.stderr
+        assert "FAIL curve a1: lambda=2.0 is not below 1" in result.stdout
+        assert result.stderr == ""
+
+    @pytest.mark.parametrize("pair", [MU_ROUNDS_ONTO_LAMBDA, MU_UNDERFLOWS],
+                             ids=["mu_rounds_onto_lambda", "mu_underflows"])
+    def test_no_float_spectrum_names_pants(self, tmp_path, pair):
+        bad = tmp_path / "edge.json"
+        bad.write_text(set_window("a1", *pair)((SAMPLES / "pants_goldman.json").read_text()))
+        result = run_cli("validate", bad)
+        expect_one_error(result, 3, f"pants 'P0': lambda={pair[0]!r}, tau=")
 
 
 def write_bd_pants(path, sigma1, sigma2):

@@ -259,6 +259,12 @@ class TestOracleCheck:
         with pytest.raises(DomainViolation):
             oracle_check(FGPants((0.0,) * 3, (0.0,) * 3, 0.0, 0.0))
 
+    def test_near_degenerate_valid_tuple_certified(self):
+        # all six lengths are positive, and the determinant pos^neg^down is
+        # -9.4e-14: only an exact zero is degenerate, the residuals decide accuracy
+        report = oracle_check(FGPants((-1.0,) * 3, (-1.0, -1.0, -30.0), 0.0, 0.0))
+        assert report.max_residual <= 1e-12
+
     def test_tau_sum_checks_route_consistency(self):
         # tau_minus never enters the flag configuration; the sum check ties
         # the two computation routes together (shears -> boundary pair ->

@@ -28,3 +28,17 @@ def test_package_namespace_holds_only_the_version():
               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
     assert imports == []
     assert bound == {"__version__"}
+
+
+def test_only_errors_module_relocates_errors():
+    # `raise type(err)(...)` rebuilds an error with a new message; errors.located
+    # is the one place that prefixes a location
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py")) if path.name != "errors.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+        and isinstance(node.exc.func, ast.Call)
+        and isinstance(node.exc.func.func, ast.Name) and node.exc.func.func.id == "type"
+    ]
+    assert found == []

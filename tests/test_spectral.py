@@ -57,6 +57,22 @@ class TestEigenFromBoundary:
         with pytest.raises(WindowViolation):
             BoundaryInvariant(1.0, 2.0)
 
+    @pytest.mark.parametrize(
+        "lam, tau",
+        [
+            (1e-30, 9.999999999999998e59),
+            (1e-100, 9.99999999999999e199),
+            (1e-10, 200000.0),
+            (4.894300578615495e-153, 2.858805946984922e76),
+        ],
+        ids=["mu_rounds_onto_lambda", "tau_squared_overflows", "discriminant_zero",
+             "discriminant_negative"],
+    )
+    def test_no_float_spectrum_inside_window(self, lam, tau):
+        b = BoundaryInvariant(lam, tau)
+        with pytest.raises(WindowViolation, match="no spectrum lambda < mu < nu"):
+            eigen_from_boundary(b)
+
 
 class TestBoundaryFromEigen:
     @pytest.mark.parametrize(
@@ -115,6 +131,13 @@ class TestCheckWindow:
         check = check_window(0.2, 4.0)
         assert not check
         assert any("lower" in msg for msg in check.failures)
+
+    @pytest.mark.parametrize("lam, tau", [(2.0, 2.0), (1e300, 6.0)])
+    def test_lambda_not_below_one(self, lam, tau):
+        # both bounds hold, but for lambda >= 1 they no longer force lambda < mu
+        check = check_window(lam, tau)
+        assert not check
+        assert check.failures == (f"lambda={lam!r} is not below 1",)
 
     def test_negative_lambda(self):
         check = check_window(-1.0, 6.0)

@@ -152,6 +152,23 @@ class TestBuildDecomposition:
         with pytest.raises(NonNegativeEuler):
             build_decomposition([], [], [])
 
+    def test_disjoint_pants_rejected(self):
+        with pytest.raises(CountMismatch, match=r"not connected.* to pants \['Q0'\]"):
+            build_decomposition(
+                ["P0", "Q0"],
+                [],
+                [BoundarySlot(f"{p}a{k}", (p, k)) for p in ("P0", "Q0") for k in range(3)],
+            )
+
+    def test_disjoint_closed_surfaces_rejected(self):
+        # two genus-2 surfaces would otherwise pass as one surface of genus 3
+        gluings = [
+            Gluing(f"{p}c{k}", (f"{p}0", k), (f"{p}1", k), ArcData(1, 2))
+            for p in ("P", "Q") for k in range(3)
+        ]
+        with pytest.raises(CountMismatch, match=r"to pants \['Q0', 'Q1'\]"):
+            build_decomposition(["P0", "P1", "Q0", "Q1"], gluings, [])
+
     def test_arc_range(self):
         with pytest.raises(ValueError):
             ArcData(0, 1)
