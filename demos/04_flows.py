@@ -32,21 +32,21 @@ b = goldman_to_bd(d, g)
 print(f"start:  (u, v) = {tuple(round(x, 6) for x in g.uv['c1'])}")
 print(f"        shears = {tuple(round(x, 6) for x in b.curve_shears['c1'])}")
 
-twisted = twist_flow(b, "c1", 1.0, decomposition=d)
+twisted = twist_flow(d, b, "c1", 1.0)
 print(f"twist 1.0:   shears -> {tuple(round(x, 6) for x in twisted.curve_shears['c1'])}")
-bulged = bulge_flow(b, "c1", 0.1, decomposition=d)
+bulged = bulge_flow(d, b, "c1", 0.1)
 print(f"bulge 0.1:   shears -> {tuple(round(x, 6) for x in bulged.curve_shears['c1'])}")
 
 print()
 print("group law: twist(0.3) then twist(0.4) equals twist(0.7)")
-a = twist_flow(twist_flow(g, "c1", 0.3), "c1", 0.4)
-c = twist_flow(g, "c1", 0.7)
+a = twist_flow(d, twist_flow(d, g, "c1", 0.3), "c1", 0.4)
+c = twist_flow(d, g, "c1", 0.7)
 print(f"  difference = {abs(a.uv['c1'][0] - c.uv['c1'][0]):.2e}")
 
 print()
 print("equivariance: convert-then-flow equals flow-then-convert")
-left = goldman_to_bd(d, bulge_flow(twist_flow(g, "c1", 0.5), "c1", -0.2))
-right = bulge_flow(twist_flow(b, "c1", 0.5, decomposition=d), "c1", -0.2, decomposition=d)
+left = goldman_to_bd(d, bulge_flow(d, twist_flow(d, g, "c1", 0.5), "c1", -0.2))
+right = bulge_flow(d, twist_flow(d, b, "c1", 0.5), "c1", -0.2)
 diff = max(
     abs(left.curve_shears["c1"][0] - right.curve_shears["c1"][0]),
     abs(left.curve_shears["c1"][1] - right.curve_shears["c1"][1]),

@@ -155,8 +155,8 @@ def cmd_flow(args) -> int:
     cf = fileio.load_file(args.input)
     d = cf.decomposition
     coords = cf.goldman() if cf.system == fileio.GOLDMAN else cf.bd()
-    coords = twist_flow(coords, args.curve, args.twist, decomposition=d)
-    coords = bulge_flow(coords, args.curve, args.bulge, decomposition=d)
+    coords = twist_flow(d, coords, args.curve, args.twist)
+    coords = bulge_flow(d, coords, args.curve, args.bulge)
     to_file = fileio.file_from_goldman if cf.system == fileio.GOLDMAN else fileio.file_from_bd
     fileio.save_file(args.output, to_file(d, coords))
     return 0

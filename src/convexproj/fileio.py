@@ -91,8 +91,7 @@ def _expect_slot(value, path: str) -> tuple[str, int]:
         not isinstance(value, list)
         or len(value) != 2
         or not isinstance(value[0], str)
-        or isinstance(value[1], bool)
-        or not isinstance(value[1], int)
+        or type(value[1]) is not int
         or value[1] not in (0, 1, 2)
     ):
         _fail(path, f"expected [pants, slot 0..2], got {value!r}")

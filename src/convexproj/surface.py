@@ -4,6 +4,9 @@ A decomposition cuts a genus-g surface with n boundary components along
 3g+n-3 disjoint simple closed curves into 2g+n-2 pairs of pants.  Each
 pants has three ordered slots; an internal curve glues two distinct slots
 (possibly of the same pants), every remaining slot is a boundary curve.
+``build_decomposition`` records the curve and role (plus, minus or
+boundary) of every slot in ``PantsDecomposition.slots``; everything below
+reads slot ownership from there.
 
 Two coordinate bundles live on top of this combinatorics:
 
@@ -24,7 +27,6 @@ either coordinate system and commute with all conversions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 from .errors import (
     BoundaryCurve,
@@ -63,7 +65,7 @@ class ArcData:
     def __post_init__(self):
         for name in ("left", "right"):
             value = getattr(self, name)
-            if value not in (1, 2, 3):
+            if type(value) is not int or value not in (1, 2, 3):
                 raise ValueError(f"arc leaf index {name} must be 1, 2 or 3, got {value!r}")
 
 
@@ -88,6 +90,9 @@ class PantsDecomposition:
     boundaries: tuple[BoundarySlot, ...]
     genus: int
     boundary_count: int
+    # derived: slot -> (curve key, role), in gluing (plus, minus) then boundary
+    # order, which bd_to_goldman keeps as the curve order of its output
+    slots: dict[Slot, tuple[str, str]] = field(compare=False, repr=False)
 
     @property
     def euler_characteristic(self) -> int:
@@ -101,16 +106,7 @@ class PantsDecomposition:
 
     def slot_assignment(self, pants_key: str) -> list[tuple[str, str]]:
         """For each slot of a pants: (curve key, role), role in plus/minus/boundary."""
-        roles: dict[int, tuple[str, str]] = {}
-        for g in self.gluings:
-            if g.plus[0] == pants_key:
-                roles[g.plus[1]] = (g.curve, "plus")
-            if g.minus[0] == pants_key:
-                roles[g.minus[1]] = (g.curve, "minus")
-        for b in self.boundaries:
-            if b.slot[0] == pants_key:
-                roles[b.slot[1]] = (b.curve, "boundary")
-        return [roles[k] for k in range(3)]
+        return [self.slots[(pants_key, k)] for k in range(3)]
 
 
 def build_decomposition(pants, gluings, boundaries) -> PantsDecomposition:
@@ -132,25 +128,25 @@ def build_decomposition(pants, gluings, boundaries) -> PantsDecomposition:
     names = [g.curve for g in gluings] + [b.curve for b in boundaries]
     if len(set(names)) != len(names):
         raise CountMismatch("curve keys must be unique")
-    seen: set[Slot] = set()
+    slots: dict[Slot, tuple[str, str]] = {}
     valid = {(p, k) for p in pants for k in range(3)}
 
-    def claim(slot: Slot, owner: str):
+    def claim(slot: Slot, owner: str, curve: str, role: str):
         if slot not in valid:
             raise CountMismatch(f"{owner} references unknown slot {slot!r}")
-        if slot in seen:
+        if slot in slots:
             raise SlotReuse(f"slot {slot!r} is used more than once ({owner})")
-        seen.add(slot)
+        slots[slot] = (curve, role)
 
     for g in gluings:
         if g.plus == g.minus:
             raise SlotReuse(f"gluing {g.curve!r} pairs slot {g.plus!r} with itself")
-        claim(g.plus, f"gluing {g.curve!r}")
-        claim(g.minus, f"gluing {g.curve!r}")
+        claim(g.plus, f"gluing {g.curve!r}", g.curve, "plus")
+        claim(g.minus, f"gluing {g.curve!r}", g.curve, "minus")
     for b in boundaries:
-        claim(b.slot, f"boundary {b.curve!r}")
-    if len(seen) != 3 * len(pants):
-        missing = sorted(valid - seen)
+        claim(b.slot, f"boundary {b.curve!r}", b.curve, "boundary")
+    if len(slots) != 3 * len(pants):
+        missing = sorted(valid - slots.keys())
         raise CountMismatch(f"unused slots: {missing!r}")
     neighbours: dict[str, list[str]] = {p: [] for p in pants}
     for g in gluings:
@@ -166,7 +162,7 @@ def build_decomposition(pants, gluings, boundaries) -> PantsDecomposition:
         raise CountMismatch(f"the surface is not connected: no gluings lead from "
                             f"{pants[0]!r} to pants {unreached!r}")
     n = len(boundaries)
-    return PantsDecomposition(pants, gluings, boundaries, (2 - n + len(pants)) // 2, n)
+    return PantsDecomposition(pants, gluings, boundaries, (2 - n + len(pants)) // 2, n, slots)
 
 
 @dataclass(frozen=True)
@@ -283,14 +279,10 @@ class ClosureReport:
 def validate_closure(d: PantsDecomposition, b: SurfaceBD) -> ClosureReport:
     """Per-curve closure residuals (total: never raises on finite data)."""
     _check_bd_keys(d, b)
-    out = {}
-    for g in d.gluings:
-        plus_pants, plus_slot = g.plus
-        minus_pants, minus_slot = g.minus
-        lp = boundary_lengths(b.pants[plus_pants])[plus_slot]
-        lm = boundary_lengths(b.pants[minus_pants])[minus_slot]
-        out[g.curve] = CurveClosure(lp, lm)
-    return ClosureReport(out)
+    lengths = {(key, k): pair
+               for key, f in b.pants.items() for k, pair in enumerate(boundary_lengths(f))}
+    return ClosureReport({g.curve: CurveClosure(lengths[g.plus], lengths[g.minus])
+                          for g in d.gluings})
 
 
 def bd_to_goldman(d: PantsDecomposition, b: SurfaceBD) -> SurfaceGoldman:
@@ -303,8 +295,11 @@ def bd_to_goldman(d: PantsDecomposition, b: SurfaceBD) -> SurfaceGoldman:
     for pants_key in d.pants:
         with located(f"pants {pants_key!r}"):
             goldman[pants_key] = fg_to_goldman(b.pants[pants_key])
-    slots = [(g.curve, g.plus) for g in d.gluings] + [(b.curve, b.slot) for b in d.boundaries]
-    curves = {curve: goldman[pants_key].boundary[slot] for curve, (pants_key, slot) in slots}
+    curves = {
+        curve: goldman[pants_key].boundary[k]
+        for (pants_key, k), (curve, role) in d.slots.items()
+        if role != "minus"
+    }
     uv = {
         curve: (0.5 * (s1 + s2), (-s1 + s2) / 6.0)
         for curve, (s1, s2) in b.curve_shears.items()
@@ -313,26 +308,20 @@ def bd_to_goldman(d: PantsDecomposition, b: SurfaceBD) -> SurfaceGoldman:
     return SurfaceGoldman(curves, uv, pants)
 
 
-def _internal_curve(coords, curve: str, d: Optional[PantsDecomposition]):
-    if isinstance(coords, SurfaceGoldman):
-        known = curve in coords.curves
-        internal = curve in coords.uv
-    else:
-        internal = curve in coords.curve_shears
-        known = curve in d.curve_names() if d is not None else internal
-    if not known:
+def _internal_curve(d: PantsDecomposition, curve: str):
+    if curve not in d.curve_names():
         raise UnknownCurve(f"no curve {curve!r} in these coordinates")
-    if not internal:
+    if curve not in d.internal_curves():
         raise BoundaryCurve(f"curve {curve!r} is a boundary component, flows need an internal curve")
 
 
-def twist_flow(coords, curve: str, u: float, *, decomposition: Optional[PantsDecomposition] = None):
+def twist_flow(d: PantsDecomposition, coords, curve: str, u: float):
     """Translate the coordinates by a twist of size u along an internal curve.
 
     Acts on the curve's shear pair by (+u, +u), equivalently on the Goldman
     pair by (u, v) -> (u + u0, v); everything else is untouched.
     """
-    _internal_curve(coords, curve, decomposition)
+    _internal_curve(d, curve)
     if isinstance(coords, SurfaceGoldman):
         u0, v0 = coords.uv[curve]
         return replace(coords, uv={**coords.uv, curve: (u0 + u, v0)})
@@ -340,9 +329,9 @@ def twist_flow(coords, curve: str, u: float, *, decomposition: Optional[PantsDec
     return replace(coords, curve_shears={**coords.curve_shears, curve: (s1 + u, s2 + u)})
 
 
-def bulge_flow(coords, curve: str, v: float, *, decomposition: Optional[PantsDecomposition] = None):
+def bulge_flow(d: PantsDecomposition, coords, curve: str, v: float):
     """Translate by a bulge of size v: shear pair moves by (-3v, +3v)."""
-    _internal_curve(coords, curve, decomposition)
+    _internal_curve(d, curve)
     if isinstance(coords, SurfaceGoldman):
         u0, v0 = coords.uv[curve]
         return replace(coords, uv={**coords.uv, curve: (u0, v0 + v)})

@@ -326,25 +326,23 @@ def test_criterion_8_flow_laws():
         u1, u2, v1 = rng.uniform(-1.5, 1.5, 3)
 
         # additivity
-        a = twist_flow(twist_flow(g, curve, u1), curve, u2)
-        b = twist_flow(g, curve, u1 + u2)
+        a = twist_flow(d, twist_flow(d, g, curve, u1), curve, u2)
+        b = twist_flow(d, g, curve, u1 + u2)
         worst = max(worst, abs(a.uv[curve][0] - b.uv[curve][0]))
-        a = bulge_flow(bulge_flow(g, curve, u1), curve, u2)
-        b = bulge_flow(g, curve, u1 + u2)
+        a = bulge_flow(d, bulge_flow(d, g, curve, u1), curve, u2)
+        b = bulge_flow(d, g, curve, u1 + u2)
         worst = max(worst, abs(a.uv[curve][1] - b.uv[curve][1]))
 
         # twist/bulge commutation on the same curve
-        a = bulge_flow(twist_flow(g, curve, u1), curve, v1)
-        b = twist_flow(bulge_flow(g, curve, v1), curve, u1)
+        a = bulge_flow(d, twist_flow(d, g, curve, u1), curve, v1)
+        b = twist_flow(d, bulge_flow(d, g, curve, v1), curve, u1)
         worst = max(worst, abs(a.uv[curve][0] - b.uv[curve][0]),
                     abs(a.uv[curve][1] - b.uv[curve][1]))
 
         # equivariance with conversion, on both coordinate sides
         bd = goldman_to_bd(d, g)
-        left = goldman_to_bd(d, bulge_flow(twist_flow(g, curve, u1), curve, v1))
-        right = bulge_flow(
-            twist_flow(bd, curve, u1, decomposition=d), curve, v1, decomposition=d
-        )
+        left = goldman_to_bd(d, bulge_flow(d, twist_flow(d, g, curve, u1), curve, v1))
+        right = bulge_flow(d, twist_flow(d, bd, curve, u1), curve, v1)
         worst = max(
             worst,
             abs(left.curve_shears[curve][0] - right.curve_shears[curve][0]),

@@ -151,6 +151,19 @@ class TestRejectedInput:
         result = run_cli("convert", bad, "--to", "bd", tmp_path / "out.json")
         expect_one_error(result, code, message)
 
+    @pytest.mark.parametrize(
+        "arc", [{"left": True, "right": 2}, {"left": 2, "right": 2.0}], ids=["bool", "float"]
+    )
+    def test_arc_index_not_an_integer(self, tmp_path, arc):
+        data = json.loads((SAMPLES / "torus_goldman.json").read_text())
+        data["surface"]["gluings"][0]["arc"] = arc
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        out = tmp_path / "out.json"
+        result = run_cli("convert", bad, "--to", "goldman", out)
+        expect_one_error(result, 2, "surface.gluings[0].arc: arc leaf index")
+        assert not out.exists()
+
     def test_disconnected_surface(self, tmp_path):
         data = json.loads((SAMPLES / "pants_goldman.json").read_text())
         data["surface"]["pants"].append("Q0")

@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import convexproj.surface as surface
 from convexproj.errors import (
     BoundaryCurve,
     ClosureViolation,
@@ -12,7 +14,7 @@ from convexproj.errors import (
     UnknownCurve,
     WindowViolation,
 )
-from convexproj.pants import FGPants
+from convexproj.pants import FGPants, boundary_lengths
 from convexproj.sampling import random_surface_goldman
 from convexproj.spectral import BoundaryInvariant
 from convexproj.surface import (
@@ -79,6 +81,16 @@ def two_holed_torus():
         ],
         [BoundarySlot("a1", ("P0", 2)), BoundarySlot("a2", ("P1", 2))],
     )
+
+
+def ring_chain(genus):
+    """Closed genus-g surface: 2g-2 pants in a cycle, slot 1 of each glued to
+    slot 0 of the next, and slot 2 of P_2k glued to slot 2 of P_2k+1."""
+    n = 2 * genus - 2
+    pants = [f"P{i}" for i in range(n)]
+    gluings = [Gluing(f"r{i}", (pants[i], 1), (pants[(i + 1) % n], 0)) for i in range(n)]
+    gluings += [Gluing(f"s{k}", (pants[2 * k], 2), (pants[2 * k + 1], 2)) for k in range(genus - 1)]
+    return build_decomposition(pants, gluings, [])
 
 
 ALL_SURFACES = [pants_surface, torus_surface, genus2_surface, four_holed_sphere, two_holed_torus]
@@ -169,9 +181,25 @@ class TestBuildDecomposition:
         with pytest.raises(CountMismatch, match=r"to pants \['Q0', 'Q1'\]"):
             build_decomposition(["P0", "P1", "Q0", "Q1"], gluings, [])
 
+    def test_slots_record_curve_and_role(self):
+        d = torus_surface()
+        assert list(d.slots.items()) == [
+            (("P0", 0), ("c1", "plus")),
+            (("P0", 1), ("c1", "minus")),
+            (("P0", 2), ("a1", "boundary")),
+        ]
+        assert d.slot_assignment("P0") == [("c1", "plus"), ("c1", "minus"), ("a1", "boundary")]
+        # derived, so it takes no part in equality or repr
+        assert replace(d, slots={}) == d
+        assert "slots" not in repr(d)
+
     def test_arc_range(self):
         with pytest.raises(ValueError):
             ArcData(0, 1)
+        with pytest.raises(ValueError):
+            ArcData(True, 1)
+        with pytest.raises(ValueError):
+            ArcData(1, 2.0)
 
 
 def surface_goldman(d, rng):
@@ -291,36 +319,38 @@ class TestFlows:
         b = SurfaceBD(
             {"P0": FGPants((-1.0,) * 3, (-1.0,) * 3, 0.0, 0.0)}, {"c1": (0.5, -0.2)}
         )
-        flowed = twist_flow(b, "c1", 1.0, decomposition=d)
+        flowed = twist_flow(d, b, "c1", 1.0)
         assert flowed.curve_shears["c1"] == pytest.approx((1.5, 0.8))
         assert flowed.pants["P0"] == b.pants["P0"]
 
     def test_bulge_shifts_antisymmetrically(self):
+        d = torus_surface()
         b = SurfaceBD(
             {"P0": FGPants((-1.0,) * 3, (-1.0,) * 3, 0.0, 0.0)}, {"c1": (0.5, -0.2)}
         )
-        flowed = bulge_flow(b, "c1", 0.1)
+        flowed = bulge_flow(d, b, "c1", 0.1)
         assert flowed.curve_shears["c1"] == pytest.approx((0.2, 0.1))
 
     def test_zero_is_identity(self):
+        d = torus_surface()
         b = SurfaceBD(
             {"P0": FGPants((-1.0,) * 3, (-1.0,) * 3, 0.0, 0.0)}, {"c1": (0.5, -0.2)}
         )
-        assert twist_flow(b, "c1", 0.0).curve_shears == b.curve_shears
-        assert bulge_flow(b, "c1", 0.0).curve_shears == b.curve_shears
+        assert twist_flow(d, b, "c1", 0.0).curve_shears == b.curve_shears
+        assert bulge_flow(d, b, "c1", 0.0).curve_shears == b.curve_shears
 
     def test_group_law_and_commutation(self):
         rng = np.random.default_rng(73)
         d = genus2_surface()
         g = surface_goldman(d, rng)
-        a = twist_flow(twist_flow(g, "c2", 0.3), "c2", -1.1)
-        bb = twist_flow(g, "c2", -0.8)
+        a = twist_flow(d, twist_flow(d, g, "c2", 0.3), "c2", -1.1)
+        bb = twist_flow(d, g, "c2", -0.8)
         assert a.uv["c2"] == pytest.approx(bb.uv["c2"], abs=1e-12)
-        x = bulge_flow(twist_flow(g, "c2", 0.4), "c2", 0.2)
-        y = twist_flow(bulge_flow(g, "c2", 0.2), "c2", 0.4)
+        x = bulge_flow(d, twist_flow(d, g, "c2", 0.4), "c2", 0.2)
+        y = twist_flow(d, bulge_flow(d, g, "c2", 0.2), "c2", 0.4)
         assert x.uv["c2"] == pytest.approx(y.uv["c2"], abs=1e-15)
-        p = twist_flow(twist_flow(g, "c0", 0.5), "c2", -0.25)
-        q = twist_flow(twist_flow(g, "c2", -0.25), "c0", 0.5)
+        p = twist_flow(d, twist_flow(d, g, "c0", 0.5), "c2", -0.25)
+        q = twist_flow(d, twist_flow(d, g, "c2", -0.25), "c0", 0.5)
         assert p.uv == q.uv
 
     def test_conversion_equivariance(self):
@@ -330,11 +360,8 @@ class TestFlows:
             curve = d.internal_curves()[0]
             g = surface_goldman(d, rng)
             u, v = 0.37, -0.21
-            left = goldman_to_bd(d, bulge_flow(twist_flow(g, curve, u), curve, v))
-            right = bulge_flow(
-                twist_flow(goldman_to_bd(d, g), curve, u, decomposition=d),
-                curve, v, decomposition=d,
-            )
+            left = goldman_to_bd(d, bulge_flow(d, twist_flow(d, g, curve, u), curve, v))
+            right = bulge_flow(d, twist_flow(d, goldman_to_bd(d, g), curve, u), curve, v)
             assert left.curve_shears[curve] == pytest.approx(right.curve_shears[curve], abs=1e-12)
             for key in left.pants:
                 assert left.pants[key] == right.pants[key]
@@ -344,14 +371,50 @@ class TestFlows:
         rng = np.random.default_rng(83)
         g = surface_goldman(d, rng)
         with pytest.raises(UnknownCurve):
-            twist_flow(g, "zz", 1.0)
+            twist_flow(d, g, "zz", 1.0)
         with pytest.raises(BoundaryCurve):
-            twist_flow(g, "a1", 1.0)
+            twist_flow(d, g, "a1", 1.0)
         b = goldman_to_bd(d, g)
         with pytest.raises(UnknownCurve):
-            bulge_flow(b, "zz", 1.0, decomposition=d)
+            bulge_flow(d, b, "zz", 1.0)
         with pytest.raises(BoundaryCurve):
-            bulge_flow(b, "a1", 1.0, decomposition=d)
+            bulge_flow(d, b, "a1", 1.0)
+
+
+class IterationCounter(tuple):
+    """A tuple that counts how often it is iterated."""
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+class TestLinearInPants:
+    """Structure, not wall time: no surface function scans the gluings once per pants."""
+
+    def test_conversions_iterate_the_gluings_a_bounded_number_of_times(self):
+        d = ring_chain(50)
+        g = surface_goldman(d, np.random.default_rng(97))
+        b = goldman_to_bd(d, g)
+        for convert, coords in ((goldman_to_bd, g), (bd_to_goldman, b)):
+            gluings = IterationCounter(d.gluings)
+            gluings.iterations = 0
+            convert(replace(d, gluings=gluings), coords)
+            assert gluings.iterations <= 3, convert.__name__
+
+    def test_closure_computes_lengths_once_per_pants(self, monkeypatch):
+        d = ring_chain(50)
+        b = goldman_to_bd(d, surface_goldman(d, np.random.default_rng(101)))
+        calls = []
+
+        def counting(f):
+            calls.append(f)
+            return boundary_lengths(f)
+
+        monkeypatch.setattr(surface, "boundary_lengths", counting)
+        report = validate_closure(d, b)
+        assert len(calls) == len(d.pants) == 98
+        assert not report.failures
 
 
 class TestCoordinateCount:
