@@ -79,7 +79,9 @@ def _validate_goldman(cf: fileio.CoordinateFile) -> bool:
     for key in sorted(d.pants):
         with located(f"pants {key!r}"):
             report = internal_consistency(pants_goldman(d, g, key))
-        good = report.max_residual <= 1e-9 and all(r > 1.0 for r in report.crossratios)
+        # The crossratios grow like s**2, so each identity is judged relative to its value.
+        good = all(r > 1.0 and res <= 1e-9 * r
+                   for r, res in zip(report.crossratios, report.residuals))
         ok = ok and good
         print(f"{'PASS' if good else 'FAIL'} pants {key}: crossratio identities, "
               f"max residual {report.max_residual:.3e}")
@@ -128,25 +130,23 @@ def cmd_oracle(args) -> int:
     for key in sorted(b.pants):
         with located(f"pants {key!r}"):
             report = oracle_check(b.pants[key])
-        worst = max(worst, report.max_residual)
-        print(
-            f"pants {key}: shear residuals "
-            f"{max(max(report.sigma1_residuals), max(report.sigma2_residuals)):.3e}  "
-            f"triangle residual {report.tau_plus_residual:.3e}  "
-            f"triangle-sum residual {report.tau_sum_residual:.3e}"
-        )
-        if args.monodromy:
-            eigen = report.eigen
-            result = reconstruct_monodromy(report.config, eigen)
-            for i, branches in enumerate(result.branches):
-                best = branches[0]
-                print(
-                    f"pants {key} holonomy {i + 1}: spectrum "
-                    f"({eigen[i].lam:.9g}, {eigen[i].mu:.9g}, {eigen[i].nu:.9g})  "
-                    f"spectrum residual {best.spectrum_residual:.3e}  "
-                    f"flag residual {best.flag_residual:.3e}  "
-                    f"branches {len(branches)}"
-                )
+            worst = max(worst, report.max_residual)
+            print(
+                f"pants {key}: shear residuals "
+                f"{max(max(report.sigma1_residuals), max(report.sigma2_residuals)):.3e}  "
+                f"triangle residual {report.tau_plus_residual:.3e}  "
+                f"triangle-sum residual {report.tau_sum_residual:.3e}"
+            )
+            if args.monodromy:
+                eigen = report.eigen
+                result = reconstruct_monodromy(report.config, eigen)
+                for i, branches in enumerate(result.branches):
+                    print(
+                        f"pants {key} holonomy {i + 1}: spectrum "
+                        f"({eigen[i].lam:.9g}, {eigen[i].mu:.9g}, {eigen[i].nu:.9g})  "
+                        f"flag residual {branches[0].flag_residual:.3e}  "
+                        f"branches {len(branches)}"
+                    )
     print(f"worst residual {worst:.3e}")
     return 0 if worst <= ORACLE_GATE else 1
 

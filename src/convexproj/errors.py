@@ -46,7 +46,7 @@ class NonPositiveRatio(CoordinateError):
 
 
 class NoValidBranch(CoordinateError):
-    """No scaling branch reproduces the required holonomy spectrum."""
+    """The scaling equations of a boundary holonomy have no real solution."""
 
 
 class ClosureViolation(CoordinateError):

@@ -36,9 +36,6 @@ from .spectral import EigenTriple, eigen_from_boundary
 # the pivot of its canonical representative.
 DEGENERACY_TOL = 1e-12
 
-# Agreement required of a reconstructed holonomy spectrum.
-SPECTRUM_TOL = 1e-8
-
 
 def wedge2(u, v) -> np.ndarray:
     """Covector of the plane spanned by u and v (their cross product)."""
@@ -261,15 +258,6 @@ def fg_from_config(c: PantsFlagConfig) -> tuple[tuple[float, float, float],
     return (sigma1, sigma2, math.log(c.x))
 
 
-def _shear_flag_arguments(c: PantsFlagConfig, i: int):
-    """Flags feeding shear_logs for line B_{i+1}: its positive endpoint
-    carries flag i+1, its negative endpoint flag i-1, the third vertex of
-    the upper triangle is flag i, and the lower third vertex is outer point i."""
-    flags = c.inner_flags
-    outer = c.outer_points
-    return (flags[(i + 1) % 3], flags[(i - 1) % 3], flags[i], outer[i])
-
-
 @dataclass(frozen=True)
 class OracleReport:
     """Residuals of the wedge-product recomputation against the input tuple,
@@ -295,13 +283,18 @@ def oracle_check(f: FGPants) -> OracleReport:
     """
     g = fg_to_goldman(f)
     c = config_from_fg(f.sigma1, f.sigma2, f.tau_plus)
+    flags = c.inner_flags
+    outer = c.outer_points
     res1 = []
     res2 = []
     for i in range(3):
-        s1, s2 = shear_logs(*_shear_flag_arguments(c, i))
+        # Line B_{i+1}: its positive endpoint carries flag i+1, its negative
+        # endpoint flag i-1, the third vertex of the upper triangle is flag i,
+        # and the lower third vertex is outer point i.
+        s1, s2 = shear_logs(flags[(i + 1) % 3], flags[(i - 1) % 3], flags[i], outer[i])
         res1.append(abs(s1 - f.sigma1[i]))
         res2.append(abs(s2 - f.sigma2[i]))
-    tau_res = abs(triple_ratio_log(*c.inner_flags) - f.tau_plus)
+    tau_res = abs(triple_ratio_log(*flags) - f.tau_plus)
     eigen = tuple(eigen_from_boundary(b) for b in g.boundary)
     tau_sum_res = abs(f.tau_plus + f.tau_minus + sum(math.log(e.mu) for e in eigen))
     all_res = (*res1, *res2, tau_res, tau_sum_res)
@@ -310,16 +303,16 @@ def oracle_check(f: FGPants) -> OracleReport:
 
 @dataclass(frozen=True)
 class MonodromyBranch:
-    """One real solution of the scaling equations, with its quality measures."""
+    """One real solution of the scaling equations, with its flag residual."""
 
     matrix: np.ndarray
-    spectrum_residual: float
     flag_residual: float
 
 
 @dataclass(frozen=True)
 class MonodromyResult:
-    """Reconstructed holonomies and, per matrix, every admissible branch."""
+    """Reconstructed holonomies and, per matrix, every real scaling branch
+    ordered by flag residual; the primary matrix is the first branch's."""
 
     matrices: tuple[np.ndarray, np.ndarray, np.ndarray]
     branches: tuple[tuple[MonodromyBranch, ...], ...]
@@ -338,27 +331,6 @@ def _quadratic_roots(a: float, b: float, c: float) -> list[float]:
     return roots
 
 
-def _branch_quality(m: np.ndarray, target: EigenTriple, line: np.ndarray):
-    """(spectrum residual, flag residual) of a candidate matrix against the
-    unit flag line, or None when the spectrum is not real positive in the
-    target's order."""
-    values, vectors = np.linalg.eig(m)
-    if np.any(np.abs(values.imag) > SPECTRUM_TOL * np.maximum(1.0, np.abs(values.real))):
-        return None
-    values = values.real
-    order = np.argsort(values)
-    spectrum = values[order]
-    wanted = np.array([target.lam, target.mu, target.nu])
-    if np.any(spectrum <= 0.0):
-        return None
-    spectrum_residual = float(np.max(np.abs(spectrum - wanted) / wanted))
-    if spectrum_residual > SPECTRUM_TOL:
-        return None
-    mu_vector = np.real(vectors[:, order[1]])
-    flag_residual = abs(float(np.dot(line, _unit(mu_vector))))
-    return spectrum_residual, flag_residual
-
-
 def reconstruct_monodromy(c: PantsFlagConfig, eigen) -> MonodromyResult:
     """Rebuild the three boundary holonomies from the triangle dynamics.
 
@@ -368,13 +340,15 @@ def reconstruct_monodromy(c: PantsFlagConfig, eigen) -> MonodromyResult:
     goes out to outer vertex i+2 and outer vertex i+1 comes in to inner
     vertex i+1.  Those image points are only projective, so two scalings
     remain free; they are pinned down by det = 1 together with
-    trace = lam + mu + nu, which reduces to one quadratic.  Every real
-    branch automatically has the required spectrum, so the unstable-flag
-    condition (the middle eigenvector must lie on the flag line of vertex i)
-    selects the holonomy among them.
+    trace = lam + mu + nu, which reduces to one quadratic.  Each nonzero
+    real root is a branch with the spectrum (lam, mu, nu) by construction.
+    The unstable-flag condition selects the holonomy among them: the lam-
+    and mu-eigenvectors span the flag plane of vertex i.  The unit flag
+    line l annihilates the lam-eigenvector p_i, so this holds exactly when
+    l M = nu l, and the flag residual is |l M - nu l| / nu.
 
-    Returns all admissible branches; the primary matrices are the ones with
-    the smallest flag residual.
+    Returns all branches, the smallest flag residual first.  Raises
+    NoValidBranch when a vertex has no real scaling branch.
     """
     eigen = tuple(eigen)
     if len(eigen) != 3:
@@ -385,8 +359,8 @@ def reconstruct_monodromy(c: PantsFlagConfig, eigen) -> MonodromyResult:
     matrices = []
     all_branches = []
     for i in range(3):
-        lam = eigen[i].lam
-        trace = eigen[i].lam + eigen[i].mu + eigen[i].nu
+        lam, nu = eigen[i].lam, eigen[i].nu
+        trace = lam + eigen[i].mu + nu
         sources = [points[i], points[(i + 2) % 3], outer[(i + 1) % 3]]
         images = [points[i], outer[(i + 2) % 3], points[(i + 1) % 3]]
         v = np.column_stack(sources)
@@ -404,14 +378,10 @@ def reconstruct_monodromy(c: PantsFlagConfig, eigen) -> MonodromyResult:
                 continue
             gamma = product / beta
             m = lam * blocks[0] + beta * blocks[1] + gamma * blocks[2]
-            quality = _branch_quality(m, eigen[i], lines[i])
-            if quality is None:
-                continue
-            branches.append(MonodromyBranch(m, *quality))
+            flag_residual = float(np.linalg.norm(lines[i] @ m - nu * lines[i])) / nu
+            branches.append(MonodromyBranch(m, flag_residual))
         if not branches:
-            raise NoValidBranch(
-                f"no scaling branch for vertex {i + 1} matches the required spectrum"
-            )
+            raise NoValidBranch(f"no real scaling branch for vertex {i + 1}")
         branches.sort(key=lambda br: br.flag_residual)
         matrices.append(branches[0].matrix)
         all_branches.append(tuple(branches))

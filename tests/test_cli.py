@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convexproj import cli, errors
+from convexproj import cli, errors, flags
 
 REPO = Path(__file__).resolve().parent.parent
 SAMPLES = REPO / "samples"
@@ -307,6 +307,14 @@ class TestValidate:
         assert "FAIL curve a1: lambda=2.0 is not below 1" in result.stdout
         assert result.stderr == ""
 
+    @pytest.mark.parametrize("s", [1e3, 1e5])
+    def test_large_s_passes(self, tmp_path, s):
+        # the crossratios grow like s**2, and so do the residuals of their identities
+        path = tmp_path / "large_s.json"
+        path.write_text(set_pants_value("s", s)((SAMPLES / "pants_goldman.json").read_text()))
+        code, err = run_main("validate", path)
+        assert code == 0, err
+
     @pytest.mark.parametrize("pair", [MU_ROUNDS_ONTO_LAMBDA, MU_UNDERFLOWS],
                              ids=["mu_rounds_onto_lambda", "mu_underflows"])
     def test_no_float_spectrum_names_pants(self, tmp_path, pair):
@@ -344,6 +352,13 @@ class TestOracle:
         assert result.returncode == 0
         assert "holonomy" in result.stdout
         assert "spectrum" in result.stdout
+
+    def test_monodromy_error_names_pants(self, monkeypatch):
+        monkeypatch.delenv("CONVEXPROJ_VERBOSE", raising=False)
+        monkeypatch.setattr(flags, "_quadratic_roots", lambda a, b, c: [])
+        code, err = run_main("oracle", SAMPLES / "pants_bd.json", "--monodromy")
+        assert code == 3
+        assert err == "error: pants 'P0': no real scaling branch for vertex 1\n"
 
     def test_goldman_file_rejected(self):
         result = run_cli("oracle", SAMPLES / "pants_goldman.json")

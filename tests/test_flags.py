@@ -275,6 +275,24 @@ class TestOracleCheck:
         assert report.tau_plus_residual <= 1e-12
         assert report.tau_sum_residual <= 1e-12
 
+    def test_flags_built_once(self, monkeypatch):
+        # three inner flag lines, and two determinants for each of three shear lines
+        counts = {"wedge2": 0, "Flag": 0}
+        wedge2_impl, flag_init = flags.wedge2, Flag.__init__
+
+        def counting_wedge2(u, v):
+            counts["wedge2"] += 1
+            return wedge2_impl(u, v)
+
+        def counting_init(self, point, line):
+            counts["Flag"] += 1
+            flag_init(self, point, line)
+
+        monkeypatch.setattr(flags, "wedge2", counting_wedge2)
+        monkeypatch.setattr(Flag, "__init__", counting_init)
+        oracle_check(SYMMETRIC)
+        assert counts == {"wedge2": 9, "Flag": 3}
+
 
 def symmetric_monodromy():
     g = fg_to_goldman(SYMMETRIC)
@@ -339,7 +357,37 @@ class TestMonodromy:
             assert len(branches) == 2
             assert branches[0].flag_residual <= 1e-10
             assert branches[1].flag_residual > 1e-3
-            assert branches[1].spectrum_residual <= 1e-8
+            spectrum = np.sort(np.linalg.eigvals(branches[1].matrix).real)
+            assert spectrum == pytest.approx((E**-2, 1.0, E**2), rel=1e-8)
+
+    # tau_plus = tau_minus = 0.  np.linalg.eig misses the spectrum of a holonomy of
+    # each by more than 1e-8, so a spectrum filter at that tolerance drops the true
+    # branch: for the first tuple no branch is left, for the second only the wrong one.
+    @pytest.mark.parametrize(
+        "sigma1, sigma2",
+        [((-2.1, -2.1, -9.5), (-9.2, -1.6, -8.4)), ((-9.0, 3.4, -6.7), (-5.0, -9.8, -8.0))],
+    )
+    def test_ill_conditioned_holonomies(self, sigma1, sigma2):
+        report = oracle_check(FGPants(sigma1, sigma2, 0.0, 0.0))
+        result = reconstruct_monodromy(report.config, report.eigen)
+        for e, branches in zip(report.eigen, result.branches):
+            assert branches[0].flag_residual <= 1e-12
+            spectrum = np.sort(np.linalg.eigvals(branches[0].matrix).real)
+            assert spectrum == pytest.approx((e.lam, e.mu, e.nu), rel=1e-6)
+
+    def test_readme_sweep_at_bound_15(self):
+        # the first 200 valid tuples of the README's measured-range sweep at R = 15
+        rng = np.random.default_rng(2016)
+        kept = 0
+        while kept < 200:
+            v = rng.uniform(-15.0, 15.0, 8)
+            f = FGPants(tuple(v[:3]), tuple(v[3:6]), float(v[6]), float(v[7]))
+            if not validate_fg_domain(f):
+                continue
+            kept += 1
+            report = oracle_check(f)
+            result = reconstruct_monodromy(report.config, report.eigen)
+            assert max(branches[0].flag_residual for branches in result.branches) <= 1e-9
 
     def test_wrong_cardinality_rejected(self):
         config = config_from_fg(SYMMETRIC.sigma1, SYMMETRIC.sigma2, 0.0)
