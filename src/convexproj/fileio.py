@@ -251,8 +251,8 @@ def loads(text: str) -> CoordinateFile:
 
     try:
         raw = json.loads(text, parse_constant=reject_constant, object_pairs_hook=_unique_keys)
-    except ValueError as err:
-        # JSONDecodeError, or an integer literal beyond Python's digit limit
+    except (ValueError, RecursionError) as err:
+        # JSONDecodeError, an integer literal beyond Python's digit limit, or too deep nesting
         raise SchemaError(f"invalid JSON: {err}") from err
     top = _expect_object(raw, "$", ("schema_version", "surface", "system", "values"))
     if top["schema_version"] != SCHEMA_VERSION:
@@ -269,7 +269,7 @@ def load_file(path) -> CoordinateFile:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise SchemaError(f"cannot read {path}: {err}") from err
     return loads(text)
 

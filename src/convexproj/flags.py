@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,8 +39,10 @@ DEGENERACY_TOL = 1e-12
 
 
 def wedge2(u, v) -> np.ndarray:
-    """Covector of the plane spanned by u and v (their cross product)."""
-    return np.cross(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+    """Covector of the plane spanned by u and v: their cross product, written out."""
+    u0, u1, u2 = np.asarray(u, dtype=float).tolist()
+    v0, v1, v2 = np.asarray(v, dtype=float).tolist()
+    return np.array([u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0])
 
 
 def wedge3(u, v, w) -> float:
@@ -133,13 +136,6 @@ def triple_ratio_log(f1: Flag, f2: Flag, f3: Flag) -> float:
     return math.log(ratio)
 
 
-def _det(u, v, w, what: str) -> float:
-    value = wedge3(u, v, w)
-    if value == 0.0:
-        raise DegenerateConfiguration(f"determinant {what} is zero")
-    return value
-
-
 def shear_logs(fpos: Flag, fneg: Flag, fup: Flag, fdown_point: ProjPoint) -> tuple[float, float]:
     """Both shear invariants of one oriented line shared by two triangles.
 
@@ -149,8 +145,9 @@ def shear_logs(fpos: Flag, fneg: Flag, fup: Flag, fdown_point: ProjPoint) -> tup
     point enters).  Returns (sigma1, sigma2).
     """
     down = _unit(fdown_point.coords)
-    d_up = _det(fpos.point, fneg.point, fup.point, "pos^neg^up")
-    d_down = _det(fpos.point, fneg.point, down, "pos^neg^down")
+    shared = wedge2(fpos.point, fneg.point)
+    d_up = _pairing(shared, fup.point, "pos^neg^up")
+    d_down = _pairing(shared, down, "pos^neg^down")
     ratio1 = -(d_up / d_down) * (
         _pairing(fneg.line, down, "lneg.down") / _pairing(fneg.line, fup.point, "lneg.up")
     )
@@ -196,11 +193,11 @@ class PantsFlagConfig:
             if not value > bound:
                 raise ValueError(f"{name} = {value!r} must exceed {bound!r}")
 
-    @property
+    @cached_property
     def inner_points(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return (np.eye(3)[0], np.eye(3)[1], np.eye(3)[2])
 
-    @property
+    @cached_property
     def intersection_points(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Pairwise meets of the inner flag planes: (1&3, 1&2, 2&3)."""
         return (
@@ -209,7 +206,7 @@ class PantsFlagConfig:
             np.array([-self.x, self.x, 1.0]),
         )
 
-    @property
+    @cached_property
     def inner_flags(self) -> tuple[Flag, Flag, Flag]:
         meet13, meet12, meet23 = self.intersection_points
         p1, p2, p3 = self.inner_points
@@ -219,7 +216,7 @@ class PantsFlagConfig:
             Flag(p3, wedge2(p3, meet13)),
         )
 
-    @property
+    @cached_property
     def outer_points(self) -> tuple[ProjPoint, ProjPoint, ProjPoint]:
         return (
             ProjPoint([-1.0, self.b1, self.c1]),
@@ -363,11 +360,12 @@ def reconstruct_monodromy(c: PantsFlagConfig, eigen) -> MonodromyResult:
         trace = lam + eigen[i].mu + nu
         sources = [points[i], points[(i + 2) % 3], outer[(i + 1) % 3]]
         images = [points[i], outer[(i + 2) % 3], points[(i + 1) % 3]]
-        v = np.column_stack(sources)
-        v_inv = np.linalg.inv(v)
-        blocks = [np.outer(images[j], v_inv[j]) for j in range(3)]
-        traces = [float(np.trace(b)) for b in blocks]
-        det_ratio = float(np.linalg.det(np.column_stack(images))) / float(np.linalg.det(v))
+        # Cofactor rows invert the matrix with columns `sources`; both determinants are +-1.
+        det_sources = wedge3(*sources)
+        rows = [wedge2(sources[(j + 1) % 3], sources[(j + 2) % 3]) / det_sources for j in range(3)]
+        blocks = [np.outer(images[j], rows[j]) for j in range(3)]
+        traces = [float(np.dot(images[j], rows[j])) for j in range(3)]
+        det_ratio = wedge3(*images) / det_sources
         # det M = lam * beta * gamma * det_ratio = 1, so beta*gamma is fixed;
         # substituting gamma into the trace condition gives the quadratic.
         product = 1.0 / (lam * det_ratio)

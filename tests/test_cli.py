@@ -164,6 +164,18 @@ class TestRejectedInput:
         expect_one_error(result, 2, "surface.gluings[0].arc: arc leaf index")
         assert not out.exists()
 
+    def test_not_utf8(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe" + (SAMPLES / "pants_bd.json").read_bytes())
+        result = run_cli("validate", bad)
+        expect_one_error(result, 2, f"cannot read {bad}: 'utf-8' codec can't decode")
+
+    def test_deeply_nested(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text("[" * 100_000)
+        result = run_cli("validate", bad)
+        expect_one_error(result, 2, "invalid JSON: maximum recursion depth exceeded")
+
     def test_disconnected_surface(self, tmp_path):
         data = json.loads((SAMPLES / "pants_goldman.json").read_text())
         data["surface"]["pants"].append("Q0")

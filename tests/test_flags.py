@@ -49,6 +49,15 @@ class TestWedges:
     def test_wedge2_cofactors(self):
         assert wedge2([0, 0, 1], [1, -1, 1]) == pytest.approx([1, 1, 0])
 
+    def test_wedge2_is_the_cross_product_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        scales = 10.0 ** rng.integers(-150, 150, size=(2000, 2, 3))
+        for u, v in rng.normal(size=(2000, 2, 3)) * scales:
+            assert wedge2(u, v).tobytes() == np.cross(u, v).tobytes()
+        for u, v in rng.integers(-1000, 1000, size=(200, 2, 3)).tolist():
+            expected = np.cross(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+            assert wedge2(u, v).tobytes() == expected.tobytes()
+
     def test_wedge3_identity(self):
         assert wedge3([1, 0, 0], [0, 1, 0], [0, 0, 1]) == pytest.approx(1.0)
 
@@ -134,6 +143,13 @@ class TestShearLogs:
             s1, s2 = shear_logs(f2, f3, f1, q1)
             assert s1 == pytest.approx(math.log(config.b1 - 1.0), abs=1e-11)
             assert s2 == pytest.approx(-math.log(config.x * config.c1 - 1.0), abs=1e-11)
+
+    def test_up_point_on_the_shared_line_raises(self):
+        fpos = Flag([1.0, 0.0, 0.0], [0.0, 0.0, 1.0])
+        fneg = Flag([0.0, 1.0, 0.0], [0.0, 0.0, 1.0])
+        fup = Flag([1.0, 1.0, 0.0], [0.0, 0.0, 1.0])
+        with pytest.raises(DegenerateConfiguration, match=r"pairing pos\^neg\^up is zero"):
+            shear_logs(fpos, fneg, fup, ProjPoint([1.0, 1.0, 1.0]))
 
     def test_symmetric_example(self):
         config = config_from_fg(SYMMETRIC.sigma1, SYMMETRIC.sigma2, SYMMETRIC.tau_plus)
@@ -276,7 +292,7 @@ class TestOracleCheck:
         assert report.tau_sum_residual <= 1e-12
 
     def test_flags_built_once(self, monkeypatch):
-        # three inner flag lines, and two determinants for each of three shear lines
+        # three inner flag lines, and the line through both endpoints of each of three shear lines
         counts = {"wedge2": 0, "Flag": 0}
         wedge2_impl, flag_init = flags.wedge2, Flag.__init__
 
@@ -291,7 +307,25 @@ class TestOracleCheck:
         monkeypatch.setattr(flags, "wedge2", counting_wedge2)
         monkeypatch.setattr(Flag, "__init__", counting_init)
         oracle_check(SYMMETRIC)
-        assert counts == {"wedge2": 9, "Flag": 3}
+        assert counts == {"wedge2": 6, "Flag": 3}
+
+    def test_monodromy_reuses_the_oracle_flags(self, monkeypatch):
+        counts = {"Flag": 0, "ProjPoint": 0}
+        flag_init, point_init = Flag.__init__, ProjPoint.__init__
+
+        def counting_flag(self, point, line):
+            counts["Flag"] += 1
+            flag_init(self, point, line)
+
+        def counting_point(self, coords):
+            counts["ProjPoint"] += 1
+            point_init(self, coords)
+
+        monkeypatch.setattr(Flag, "__init__", counting_flag)
+        monkeypatch.setattr(ProjPoint, "__init__", counting_point)
+        report = oracle_check(SYMMETRIC)
+        reconstruct_monodromy(report.config, report.eigen)
+        assert counts == {"Flag": 3, "ProjPoint": 3}
 
 
 def symmetric_monodromy():

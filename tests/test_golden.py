@@ -5,7 +5,7 @@ standard output, standard error and output file with the files recorded
 under ``tests/golden/``: ``results.json`` holds the first three per case,
 ``<case>.out`` the output file's bytes (no such file when the command
 writes none).  ``oracle`` and ``render`` are left out because their printed
-digits go through numpy dot and cross products on 3-vectors, which may
+digits go through numpy dot products on 3-vectors, whose BLAS kernel may
 round differently on other CPUs.
 """
 
