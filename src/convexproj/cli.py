@@ -19,6 +19,7 @@ only adds the traceback, for debugging.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import traceback
@@ -180,7 +181,9 @@ def cmd_render(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; `parse_args` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="convexproj",
         description="Convert, validate and certify coordinates for convex "

@@ -38,23 +38,30 @@ from .spectral import EigenTriple, eigen_from_boundary
 DEGENERACY_TOL = 1e-12
 
 
+def _cross(u, v) -> tuple[float, float, float]:
+    u0, u1, u2 = u
+    v0, v1, v2 = v
+    return (u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0)
+
+
+def _dot(u, v) -> float:
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _floats(v) -> tuple[np.ndarray, tuple[float, float, float]]:
+    """A 3-vector as the stored ndarray and as the float triple the kernel pairs."""
+    arr = np.asarray(v, dtype=float).reshape(3)
+    return arr, tuple(arr.tolist())
+
+
 def wedge2(u, v) -> np.ndarray:
     """Covector of the plane spanned by u and v: their cross product, written out."""
-    u0, u1, u2 = np.asarray(u, dtype=float).tolist()
-    v0, v1, v2 = np.asarray(v, dtype=float).tolist()
-    return np.array([u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0])
+    return np.array(_cross(_floats(u)[1], _floats(v)[1]))
 
 
 def wedge3(u, v, w) -> float:
     """Determinant of the 3x3 matrix with rows u, v, w."""
-    return float(np.dot(wedge2(u, v), np.asarray(w, dtype=float)))
-
-
-def _unit(v: np.ndarray) -> np.ndarray:
-    norm = np.linalg.norm(v)
-    if norm == 0.0:
-        raise ValueError("zero vector has no direction")
-    return v / norm
+    return _dot(_cross(_floats(u)[1], _floats(v)[1]), _floats(w)[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,14 +76,15 @@ class ProjPoint:
     coords: np.ndarray
 
     def __init__(self, coords):
-        arr = np.asarray(coords, dtype=float).reshape(3)
-        if not np.all(np.isfinite(arr)) or np.all(arr == 0.0):
+        arr, triple = _floats(coords)
+        if not all(map(math.isfinite, triple)) or not any(triple):
             raise ValueError(f"homogeneous coordinates must be finite and not all zero: {coords!r}")
         object.__setattr__(self, "coords", arr)
+        object.__setattr__(self, "_triple", triple)
 
     def canonical(self) -> np.ndarray:
-        scale_floor = DEGENERACY_TOL * np.max(np.abs(self.coords))
-        for value in self.coords:
+        scale_floor = DEGENERACY_TOL * max(map(abs, self._triple))
+        for value in self._triple:
             if abs(value) > scale_floor:
                 return self.coords / value
         raise ValueError("no usable pivot coordinate")
@@ -92,26 +100,34 @@ class Flag:
     """A point together with a line through it.
 
     The point carries the 1-dimensional part, the line covector the
-    2-dimensional part; incidence is required at construction.  Both are
-    stored as unit vectors, the form every invariant below pairs them in.
+    2-dimensional part; incidence, relative to the two norms, is required at
+    construction.  Both are stored as given: every invariant below is
+    unchanged when either is rescaled.
     """
 
     point: np.ndarray
     line: np.ndarray
 
     def __init__(self, point, line):
-        pt = _unit(np.asarray(point, dtype=float).reshape(3))
-        ln = _unit(np.asarray(line, dtype=float).reshape(3))
-        if abs(float(np.dot(ln, pt))) > 1e-12:
+        pt, p = _floats(point)
+        ln, ell = _floats(line)
+        p_norm, l_norm = math.hypot(*p), math.hypot(*ell)
+        if p_norm == 0.0 or l_norm == 0.0:
+            raise ValueError("zero vector has no direction")
+        if abs(_dot(ell, p)) > 1e-12 * l_norm * p_norm:
             raise ValueError("flag line does not pass through the flag point")
         object.__setattr__(self, "point", pt)
         object.__setattr__(self, "line", ln)
+        object.__setattr__(self, "_point", p)
+        object.__setattr__(self, "_line", ell)
 
 
-def _pairing(line: np.ndarray, point: np.ndarray, what: str) -> float:
-    value = float(np.dot(line, point))
+def _pairing(line, point, what: str) -> float:
+    value = _dot(line, point)
     if value == 0.0:
         raise DegenerateConfiguration(f"pairing {what} is zero")
+    if not math.isfinite(value):
+        raise DegenerateConfiguration(f"pairing {what} overflows a float")
     return value
 
 
@@ -124,14 +140,14 @@ def triple_ratio_log(f1: Flag, f2: Flag, f3: Flag) -> float:
     changes of coordinates, and is cyclically invariant.
     """
     ratio = (
-        _pairing(f1.line, f2.point, "l1.p2")
-        / _pairing(f3.line, f2.point, "l3.p2")
-        * _pairing(f3.line, f1.point, "l3.p1")
-        / _pairing(f2.line, f1.point, "l2.p1")
-        * _pairing(f2.line, f3.point, "l2.p3")
-        / _pairing(f1.line, f3.point, "l1.p3")
+        _pairing(f1._line, f2._point, "l1.p2")
+        / _pairing(f3._line, f2._point, "l3.p2")
+        * _pairing(f3._line, f1._point, "l3.p1")
+        / _pairing(f2._line, f1._point, "l2.p1")
+        * _pairing(f2._line, f3._point, "l2.p3")
+        / _pairing(f1._line, f3._point, "l1.p3")
     )
-    if ratio <= 0.0:
+    if not ratio > 0.0:
         raise NonPositiveRatio(f"triple ratio must be positive, got {ratio!r}")
     return math.log(ratio)
 
@@ -144,17 +160,17 @@ def shear_logs(fpos: Flag, fneg: Flag, fup: Flag, fdown_point: ProjPoint) -> tup
     and `fdown_point` is the third vertex of the lower triangle (only its
     point enters).  Returns (sigma1, sigma2).
     """
-    down = _unit(fdown_point.coords)
-    shared = wedge2(fpos.point, fneg.point)
-    d_up = _pairing(shared, fup.point, "pos^neg^up")
+    down = fdown_point._triple
+    shared = _cross(fpos._point, fneg._point)
+    d_up = _pairing(shared, fup._point, "pos^neg^up")
     d_down = _pairing(shared, down, "pos^neg^down")
     ratio1 = -(d_up / d_down) * (
-        _pairing(fneg.line, down, "lneg.down") / _pairing(fneg.line, fup.point, "lneg.up")
+        _pairing(fneg._line, down, "lneg.down") / _pairing(fneg._line, fup._point, "lneg.up")
     )
     ratio2 = -(d_down / d_up) * (
-        _pairing(fpos.line, fup.point, "lpos.up") / _pairing(fpos.line, down, "lpos.down")
+        _pairing(fpos._line, fup._point, "lpos.up") / _pairing(fpos._line, down, "lpos.down")
     )
-    if ratio1 <= 0.0 or ratio2 <= 0.0:
+    if not ratio1 > 0.0 or not ratio2 > 0.0:
         raise NonPositiveRatio(
             f"shear ratios must be positive, got ({ratio1!r}, {ratio2!r})"
         )
@@ -195,7 +211,7 @@ class PantsFlagConfig:
 
     @cached_property
     def inner_points(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return (np.eye(3)[0], np.eye(3)[1], np.eye(3)[2])
+        return (np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0]))
 
     @cached_property
     def intersection_points(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -208,12 +224,12 @@ class PantsFlagConfig:
 
     @cached_property
     def inner_flags(self) -> tuple[Flag, Flag, Flag]:
-        meet13, meet12, meet23 = self.intersection_points
-        p1, p2, p3 = self.inner_points
+        meet13, meet12, _ = (m.tolist() for m in self.intersection_points)
+        p1, p2, p3 = (p.tolist() for p in self.inner_points)
         return (
-            Flag(p1, wedge2(p1, meet13)),
-            Flag(p2, wedge2(p2, meet12)),
-            Flag(p3, wedge2(p3, meet13)),
+            Flag(p1, _cross(p1, meet13)),
+            Flag(p2, _cross(p2, meet12)),
+            Flag(p3, _cross(p3, meet13)),
         )
 
     @cached_property
@@ -340,9 +356,9 @@ def reconstruct_monodromy(c: PantsFlagConfig, eigen) -> MonodromyResult:
     trace = lam + mu + nu, which reduces to one quadratic.  Each nonzero
     real root is a branch with the spectrum (lam, mu, nu) by construction.
     The unstable-flag condition selects the holonomy among them: the lam-
-    and mu-eigenvectors span the flag plane of vertex i.  The unit flag
-    line l annihilates the lam-eigenvector p_i, so this holds exactly when
-    l M = nu l, and the flag residual is |l M - nu l| / nu.
+    and mu-eigenvectors span the flag plane of vertex i.  The flag line l
+    annihilates the lam-eigenvector p_i, so this holds exactly when
+    l M = nu l, and the flag residual is |l M - nu l| / (nu |l|).
 
     Returns all branches, the smallest flag residual first.  Raises
     NoValidBranch when a vertex has no real scaling branch.
@@ -350,22 +366,25 @@ def reconstruct_monodromy(c: PantsFlagConfig, eigen) -> MonodromyResult:
     eigen = tuple(eigen)
     if len(eigen) != 3:
         raise ValueError("exactly three eigenvalue triples are required")
-    points = c.inner_points
-    outer = [p.coords for p in c.outer_points]
-    lines = [f.line for f in c.inner_flags]
+    flags = c.inner_flags
+    points = [f._point for f in flags]
+    outer = [p._triple for p in c.outer_points]
     matrices = []
     all_branches = []
     for i in range(3):
         lam, nu = eigen[i].lam, eigen[i].nu
         trace = lam + eigen[i].mu + nu
+        line = flags[i]._line
         sources = [points[i], points[(i + 2) % 3], outer[(i + 1) % 3]]
         images = [points[i], outer[(i + 2) % 3], points[(i + 1) % 3]]
         # Cofactor rows invert the matrix with columns `sources`; both determinants are +-1.
-        det_sources = wedge3(*sources)
-        rows = [wedge2(sources[(j + 1) % 3], sources[(j + 2) % 3]) / det_sources for j in range(3)]
-        blocks = [np.outer(images[j], rows[j]) for j in range(3)]
-        traces = [float(np.dot(images[j], rows[j])) for j in range(3)]
-        det_ratio = wedge3(*images) / det_sources
+        # Row 2 is sources[0] ^ sources[1], so its pairing with sources[2] is wedge3(*sources).
+        cofactors = [_cross(sources[(j + 1) % 3], sources[(j + 2) % 3]) for j in range(3)]
+        det_sources = _dot(cofactors[2], sources[2])
+        rows = [tuple(v / det_sources for v in row) for row in cofactors]
+        columns = list(zip(*rows))
+        traces = [_dot(images[j], rows[j]) for j in range(3)]
+        det_ratio = _dot(_cross(images[0], images[1]), images[2]) / det_sources
         # det M = lam * beta * gamma * det_ratio = 1, so beta*gamma is fixed;
         # substituting gamma into the trace condition gives the quadratic.
         product = 1.0 / (lam * det_ratio)
@@ -375,9 +394,12 @@ def reconstruct_monodromy(c: PantsFlagConfig, eigen) -> MonodromyResult:
             if beta == 0.0:
                 continue
             gamma = product / beta
-            m = lam * blocks[0] + beta * blocks[1] + gamma * blocks[2]
-            flag_residual = float(np.linalg.norm(lines[i] @ m - nu * lines[i])) / nu
-            branches.append(MonodromyBranch(m, flag_residual))
+            # M = sum_j scale_j * images[j] (x) rows[j], assembled row by row.
+            scaled = ([s * v for v in image] for s, image in zip((lam, beta, gamma), images))
+            m = [[a * r0 + b * r1 + g * r2 for r0, r1, r2 in columns] for a, b, g in zip(*scaled)]
+            drift = [_dot(line, column) - nu * ell for column, ell in zip(zip(*m), line)]
+            flag_residual = math.hypot(*drift) / (nu * math.hypot(*line))
+            branches.append(MonodromyBranch(np.array(m), flag_residual))
         if not branches:
             raise NoValidBranch(f"no real scaling branch for vertex {i + 1}")
         branches.sort(key=lambda br: br.flag_residual)

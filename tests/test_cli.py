@@ -391,6 +391,16 @@ class TestOracle:
         result = run_cli("oracle", bad)
         expect_one_error(result, 3, "pants 'P0': flag configuration is not representable")
 
+    @pytest.mark.parametrize("extra", [(), ("--monodromy",)], ids=["oracle", "monodromy"])
+    def test_large_configuration_coordinate_certified(self, tmp_path, extra):
+        # valid data with b3 = e^400 + 1, a coordinate whose square overflows a float
+        far = write_bd_pants(tmp_path / "far.json", [-1.0, -1.0, -1.0], [-1.0, -1.0, -400.0])
+        result = run_cli("oracle", far, *extra)
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert result.stderr == ""
+        worst = float(re.search(r"worst residual (\S+)", result.stdout).group(1))
+        assert worst <= cli.ORACLE_GATE
+
 
 class TestOverflow:
     """Valid data whose Goldman values or crossratios overflow a float exits 3
@@ -559,3 +569,34 @@ class TestErrorContract:
                          str(tmp_path / "missing" / "out.json")])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestParser:
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_shared_parser_keeps_each_call_apart(self, tmp_path, monkeypatch):
+        # one process reuses the parser: a rejected argv and a finished command
+        # leave nothing behind that changes the next call
+        monkeypatch.delenv("CONVEXPROJ_VERBOSE", raising=False)
+        monkeypatch.setenv("COLUMNS", "80")
+
+        def argvs(out):
+            source = SAMPLES / "pants_goldman.json"
+            return [("convert", source, "--to", "cube", out),
+                    ("convert", source, "--to", "bd", out),
+                    ("validate", SAMPLES / "torus_goldman.json")]
+
+        alone = [run_cli(*argv) for argv in argvs(tmp_path / "alone.json")]
+        together = []
+        for argv in argvs(tmp_path / "together.json"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = cli.main([str(a) for a in argv])
+                except SystemExit as stop:
+                    code = stop.code
+            together.append((code, out.getvalue(), err.getvalue()))
+        assert [r.returncode for r in alone] == [2, 0, 0]
+        assert together == [(r.returncode, r.stdout, r.stderr) for r in alone]
+        assert (tmp_path / "together.json").read_bytes() == (tmp_path / "alone.json").read_bytes()

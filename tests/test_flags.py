@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import convexproj.flags as flags
+from convexproj.cli import ORACLE_GATE
 from convexproj.errors import (
     DegenerateConfiguration,
     DomainViolation,
@@ -151,6 +152,12 @@ class TestShearLogs:
         with pytest.raises(DegenerateConfiguration, match=r"pairing pos\^neg\^up is zero"):
             shear_logs(fpos, fneg, fup, ProjPoint([1.0, 1.0, 1.0]))
 
+    def test_overflowing_pairing_raises(self):
+        config = config_from_fg(SYMMETRIC.sigma1, SYMMETRIC.sigma2, SYMMETRIC.tau_plus)
+        f1, f2, f3 = config.inner_flags
+        with pytest.raises(DegenerateConfiguration, match=r"pairing lpos\.down overflows a float"):
+            shear_logs(f2, f3, f1, ProjPoint([1e308, 1.0, 1e308]))
+
     def test_symmetric_example(self):
         config = config_from_fg(SYMMETRIC.sigma1, SYMMETRIC.sigma2, SYMMETRIC.tau_plus)
         f1, f2, f3 = config.inner_flags
@@ -293,21 +300,24 @@ class TestOracleCheck:
 
     def test_flags_built_once(self, monkeypatch):
         # three inner flag lines, and the line through both endpoints of each of three shear lines
-        counts = {"wedge2": 0, "Flag": 0}
-        wedge2_impl, flag_init = flags.wedge2, Flag.__init__
+        counts = {"cross": 0, "Flag": 0}
+        cross_impl, flag_init = flags._cross, Flag.__init__
 
-        def counting_wedge2(u, v):
-            counts["wedge2"] += 1
-            return wedge2_impl(u, v)
+        def counting_cross(u, v):
+            counts["cross"] += 1
+            return cross_impl(u, v)
 
         def counting_init(self, point, line):
             counts["Flag"] += 1
             flag_init(self, point, line)
 
-        monkeypatch.setattr(flags, "wedge2", counting_wedge2)
+        monkeypatch.setattr(flags, "_cross", counting_cross)
         monkeypatch.setattr(Flag, "__init__", counting_init)
-        oracle_check(SYMMETRIC)
-        assert counts == {"wedge2": 6, "Flag": 3}
+        report = oracle_check(SYMMETRIC)
+        assert counts == {"cross": 6, "Flag": 3}
+        # per holonomy: three cofactor rows and the determinant of the images
+        reconstruct_monodromy(report.config, report.eigen)
+        assert counts == {"cross": 18, "Flag": 3}
 
     def test_monodromy_reuses_the_oracle_flags(self, monkeypatch):
         counts = {"Flag": 0, "ProjPoint": 0}
@@ -420,6 +430,7 @@ class TestMonodromy:
                 continue
             kept += 1
             report = oracle_check(f)
+            assert report.max_residual <= ORACLE_GATE
             result = reconstruct_monodromy(report.config, report.eigen)
             assert max(branches[0].flag_residual for branches in result.branches) <= 1e-9
 

@@ -42,3 +42,16 @@ def test_only_errors_module_relocates_errors():
         and isinstance(node.exc.func.func, ast.Name) and node.exc.func.func.id == "type"
     ]
     assert found == []
+
+
+def test_flag_kernel_does_no_numpy_arithmetic():
+    # the invariants are computed on float triples; numpy only holds the stored vectors
+    tree = ast.parse((SRC / "flags.py").read_text())
+    found = sorted(
+        f"np.{node.attr}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id == "np"
+        and node.attr in {"dot", "outer", "linalg", "eye", "isfinite", "all"}
+    )
+    assert found == []
