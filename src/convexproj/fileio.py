@@ -29,7 +29,9 @@ In a ``bd`` file each pants entry is {"sigma1": [..3..], "sigma2": [..3..],
 
 Unknown fields are rejected, every referenced key must exist in ``surface``
 and all numbers must be finite.  Numbers are written with Python's shortest
-round-trip representation (at most 17 significant digits).
+round-trip representation (at most 17 significant digits).  ``dumps`` writes
+exactly what ``json.dumps(document, indent=2)`` writes, plus a newline.
+Reading and writing take time linear in the number of pants.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _string
 
 from .errors import DomainViolation, SchemaError, located
 from .pants import FGPants
@@ -58,23 +61,36 @@ GOLDMAN = "goldman"
 BD = "bd"
 
 
+# The fields of each object of the schema.
+_FILE_FIELDS = frozenset(("schema_version", "surface", "system", "values"))
+_SURFACE_FIELDS = frozenset(("pants", "gluings", "boundaries"))
+_GLUING_FIELDS = frozenset(("curve", "plus", "minus", "arc"))
+_ARC_FIELDS = frozenset(("left", "right"))
+_BOUNDARY_FIELDS = frozenset(("curve", "slot"))
+_VALUES_FIELDS = frozenset(("curves", "pants"))
+
+
 def _fail(path: str, message: str):
     raise SchemaError(f"{path}: {message}")
 
 
-def _expect_object(value, path: str, required: tuple[str, ...]) -> dict:
+def _expect_object(value, path: str, required: frozenset[str]) -> dict:
+    if type(value) is dict and value.keys() == required:
+        return value
     if not isinstance(value, dict):
         _fail(path, f"expected an object, got {type(value).__name__}")
-    unknown = set(value) - set(required)
+    unknown = set(value) - required
     if unknown:
         _fail(path, f"unknown fields {sorted(unknown)!r}")
-    missing = set(required) - set(value)
+    missing = required - set(value)
     if missing:
         _fail(path, f"missing fields {sorted(missing)!r}")
     return value
 
 
 def _expect_number(value, path: str) -> float:
+    if type(value) is float and math.isfinite(value):
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"expected a number, got {value!r}")
     try:
@@ -147,7 +163,7 @@ class CoordinateFile:
 
 
 def _parse_surface(raw) -> PantsDecomposition:
-    surface = _expect_object(raw, "surface", ("pants", "gluings", "boundaries"))
+    surface = _expect_object(raw, "surface", _SURFACE_FIELDS)
     pants = surface["pants"]
     if not isinstance(pants, list) or not all(isinstance(p, str) for p in pants):
         _fail("surface.pants", "expected a list of pants keys")
@@ -156,10 +172,10 @@ def _parse_surface(raw) -> PantsDecomposition:
         _fail("surface.gluings", "expected a list")
     for k, item in enumerate(surface["gluings"]):
         path = f"surface.gluings[{k}]"
-        entry = _expect_object(item, path, ("curve", "plus", "minus", "arc"))
+        entry = _expect_object(item, path, _GLUING_FIELDS)
         if not isinstance(entry["curve"], str):
             _fail(path, "curve key must be a string")
-        arc_raw = _expect_object(entry["arc"], f"{path}.arc", ("left", "right"))
+        arc_raw = _expect_object(entry["arc"], f"{path}.arc", _ARC_FIELDS)
         try:
             arc = ArcData(arc_raw["left"], arc_raw["right"])
         except ValueError as err:
@@ -177,7 +193,7 @@ def _parse_surface(raw) -> PantsDecomposition:
         _fail("surface.boundaries", "expected a list")
     for k, item in enumerate(surface["boundaries"]):
         path = f"surface.boundaries[{k}]"
-        entry = _expect_object(item, path, ("curve", "slot"))
+        entry = _expect_object(item, path, _BOUNDARY_FIELDS)
         if not isinstance(entry["curve"], str):
             _fail(path, "curve key must be a string")
         boundaries.append(BoundarySlot(entry["curve"], _expect_slot(entry["slot"], f"{path}.slot")))
@@ -185,9 +201,19 @@ def _parse_surface(raw) -> PantsDecomposition:
 
 
 def _parse_values(raw, system: str, d: PantsDecomposition):
-    values = _expect_object(raw, "values", ("curves", "pants"))
+    values = _expect_object(raw, "values", _VALUES_FIELDS)
     internal = set(d.internal_curves())
     all_curves = set(d.curve_names())
+    pants_keys = set(d.pants)
+    # the numbers of each entry, in the order they are written; a bd file
+    # gives boundary curves none
+    if system == GOLDMAN:
+        internal_fields, boundary_fields = ("lambda", "tau", "u", "v"), ("lambda", "tau")
+        pants_fields = ("s", "t")
+    else:
+        internal_fields, boundary_fields = ("sigma1_C", "sigma2_C"), ()
+        pants_fields = ("sigma1", "sigma2", "tau_plus", "tau_minus")
+    required = {fields: frozenset(fields) for fields in (internal_fields, boundary_fields, pants_fields)}
 
     curves_raw = values["curves"]
     if not isinstance(curves_raw, dict):
@@ -197,16 +223,13 @@ def _parse_values(raw, system: str, d: PantsDecomposition):
         path = f"values.curves[{key!r}]"
         if key not in all_curves:
             _fail(path, "curve does not exist in the surface")
-        if system == GOLDMAN:
-            fields = ("lambda", "tau", "u", "v") if key in internal else ("lambda", "tau")
-        else:
-            fields = ("sigma1_C", "sigma2_C")
-            if key not in internal:
-                _fail(path, "bd files carry values for internal curves only")
-        entry = _expect_object(entry, path, fields)
+        fields = internal_fields if key in internal else boundary_fields
+        if not fields:
+            _fail(path, "bd files carry values for internal curves only")
+        entry = _expect_object(entry, path, required[fields])
         curve_values[key] = {name: _expect_number(entry[name], f"{path}.{name}") for name in fields}
     expected = all_curves if system == GOLDMAN else internal
-    missing = expected - set(curve_values)
+    missing = expected - curve_values.keys()
     if missing:
         _fail("values.curves", f"missing entries for curves {sorted(missing)!r}")
 
@@ -216,12 +239,11 @@ def _parse_values(raw, system: str, d: PantsDecomposition):
     pants_values: dict[str, dict] = {}
     for key, entry in pants_raw.items():
         path = f"values.pants[{key!r}]"
-        if key not in d.pants:
+        if key not in pants_keys:
             _fail(path, "pants does not exist in the surface")
-        fields = ("s", "t") if system == GOLDMAN else ("sigma1", "sigma2", "tau_plus", "tau_minus")
-        entry = _expect_object(entry, path, fields)
+        entry = _expect_object(entry, path, required[pants_fields])
         parsed = {}
-        for name in fields:
+        for name in pants_fields:
             if name in ("sigma1", "sigma2"):
                 seq = entry[name]
                 if not isinstance(seq, list) or len(seq) != 3:
@@ -230,7 +252,7 @@ def _parse_values(raw, system: str, d: PantsDecomposition):
             else:
                 parsed[name] = _expect_number(entry[name], f"{path}.{name}")
         pants_values[key] = parsed
-    missing = set(d.pants) - set(pants_values)
+    missing = pants_keys - pants_values.keys()
     if missing:
         _fail("values.pants", f"missing entries for pants {sorted(missing)!r}")
     return curve_values, pants_values
@@ -254,7 +276,7 @@ def loads(text: str) -> CoordinateFile:
     except (ValueError, RecursionError) as err:
         # JSONDecodeError, an integer literal beyond Python's digit limit, or too deep nesting
         raise SchemaError(f"invalid JSON: {err}") from err
-    top = _expect_object(raw, "$", ("schema_version", "surface", "system", "values"))
+    top = _expect_object(raw, "$", _FILE_FIELDS)
     if top["schema_version"] != SCHEMA_VERSION:
         _fail("schema_version", f"expected {SCHEMA_VERSION!r}, got {top['schema_version']!r}")
     system = top["system"]
@@ -272,22 +294,6 @@ def load_file(path) -> CoordinateFile:
     except (OSError, UnicodeDecodeError) as err:
         raise SchemaError(f"cannot read {path}: {err}") from err
     return loads(text)
-
-
-def _surface_dict(d: PantsDecomposition) -> dict:
-    return {
-        "pants": list(d.pants),
-        "gluings": [
-            {
-                "curve": g.curve,
-                "plus": list(g.plus),
-                "minus": list(g.minus),
-                "arc": {"left": g.arc.left, "right": g.arc.right},
-            }
-            for g in d.gluings
-        ],
-        "boundaries": [{"curve": b.curve, "slot": list(b.slot)} for b in d.boundaries],
-    }
 
 
 def file_from_goldman(d: PantsDecomposition, g: SurfaceGoldman) -> CoordinateFile:
@@ -317,25 +323,78 @@ def file_from_bd(d: PantsDecomposition, b: SurfaceBD) -> CoordinateFile:
     return CoordinateFile(d, BD, curve_values, pants_values)
 
 
+def _container(brackets: str, items: list[str], level: int) -> str:
+    """Encoded items inside "[]" or "{}", laid out as json.dumps(indent=2) lays out that depth."""
+    if not items:
+        return brackets
+    inner = "\n" + "  " * (level + 1)
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * level + brackets[1]
+
+
+def _number(value) -> str:
+    # json.dumps's forms: float.__repr__ (numpy floats too) and int.__repr__
+    return float.__repr__(value) if isinstance(value, float) else int.__repr__(value)
+
+
+def _slot(slot) -> str:
+    return _container("[]", [_string(slot[0]), _number(slot[1])], 4)
+
+
+def _surface_json(d: PantsDecomposition) -> str:
+    gluings = [
+        _container("{}", [
+            f'"curve": {_string(g.curve)}',
+            f'"plus": {_slot(g.plus)}',
+            f'"minus": {_slot(g.minus)}',
+            '"arc": ' + _container(
+                "{}", [f'"left": {_number(g.arc.left)}', f'"right": {_number(g.arc.right)}'], 4
+            ),
+        ], 3)
+        for g in d.gluings
+    ]
+    boundaries = [
+        _container("{}", [f'"curve": {_string(b.curve)}', f'"slot": {_slot(b.slot)}'], 3)
+        for b in d.boundaries
+    ]
+    return _container("{}", [
+        '"pants": ' + _container("[]", [_string(p) for p in d.pants], 2),
+        '"gluings": ' + _container("[]", gluings, 2),
+        '"boundaries": ' + _container("[]", boundaries, 2),
+    ], 1)
+
+
+def _values_json(group: str, entries: dict[str, dict]) -> str:
+    items = []
+    for key, entry in entries.items():
+        fields = []
+        for name, value in entry.items():
+            if isinstance(value, list):
+                finite = all(map(math.isfinite, value))
+                text = _container("[]", [_number(v) for v in value], 4)
+            else:
+                finite = math.isfinite(value)
+                text = _number(value)
+            if not finite:
+                # a conversion or flow can carry a value past the float range; flow amounts may be nan
+                raise DomainViolation(
+                    f"values.{group}[{key!r}].{name}: {value!r} is not a finite number"
+                )
+            fields.append(f"{_string(name)}: {text}")
+        items.append(f"{_string(key)}: {_container('{}', fields, 3)}")
+    return _container("{}", items, 2)
+
+
 def dumps(cf: CoordinateFile) -> str:
-    document = {
-        "schema_version": SCHEMA_VERSION,
-        "surface": _surface_dict(cf.decomposition),
-        "system": cf.system,
-        "values": {"curves": cf.curve_values, "pants": cf.pants_values},
-    }
-    try:
-        return json.dumps(document, indent=2, allow_nan=False) + "\n"
-    except ValueError:
-        # a conversion or flow can carry a value past the float range; flow amounts may be nan
-        for group, entries in (("curves", cf.curve_values), ("pants", cf.pants_values)):
-            for key, entry in entries.items():
-                for name, value in entry.items():
-                    if not all(map(math.isfinite, value if isinstance(value, list) else [value])):
-                        raise DomainViolation(
-                            f"values.{group}[{key!r}].{name}: {value!r} is not a finite number"
-                        ) from None
-        raise
+    """The file as json.dumps(document, indent=2, allow_nan=False) writes it, plus a newline."""
+    return _container("{}", [
+        f'"schema_version": {_string(SCHEMA_VERSION)}',
+        '"surface": ' + _surface_json(cf.decomposition),
+        f'"system": {_string(cf.system)}',
+        '"values": ' + _container("{}", [
+            '"curves": ' + _values_json("curves", cf.curve_values),
+            '"pants": ' + _values_json("pants", cf.pants_values),
+        ], 1),
+    ], 0) + "\n"
 
 
 def save_file(path, cf: CoordinateFile):

@@ -149,6 +149,8 @@ def triple_ratio_log(f1: Flag, f2: Flag, f3: Flag) -> float:
     )
     if not ratio > 0.0:
         raise NonPositiveRatio(f"triple ratio must be positive, got {ratio!r}")
+    if ratio == math.inf:
+        raise DegenerateConfiguration("triple ratio overflows a float")
     return math.log(ratio)
 
 
@@ -174,6 +176,9 @@ def shear_logs(fpos: Flag, fneg: Flag, fup: Flag, fdown_point: ProjPoint) -> tup
         raise NonPositiveRatio(
             f"shear ratios must be positive, got ({ratio1!r}, {ratio2!r})"
         )
+    for name, ratio in (("sigma1", ratio1), ("sigma2", ratio2)):
+        if ratio == math.inf:
+            raise DegenerateConfiguration(f"shear ratio {name} overflows a float")
     return (math.log(ratio1), math.log(ratio2))
 
 

@@ -1,14 +1,23 @@
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convexproj import fileio
-from convexproj.errors import SchemaError, WindowViolation
+from convexproj.errors import DomainViolation, SchemaError, WindowViolation
 from convexproj.sampling import random_surface_goldman
-from convexproj.surface import bd_to_goldman, goldman_to_bd
+from convexproj.surface import (
+    BoundarySlot,
+    Gluing,
+    bd_to_goldman,
+    build_decomposition,
+    goldman_to_bd,
+)
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -212,3 +221,160 @@ class TestPrecision:
         for key in g.curves:
             assert twice.curves[key].lam == pytest.approx(g.curves[key].lam, rel=1e-10)
             assert twice.curves[key].tau == pytest.approx(g.curves[key].tau, rel=1e-10)
+
+
+def ring_chain(genus):
+    """Closed genus-g surface: 2g-2 pants in a cycle, slot 1 of each glued to
+    slot 0 of the next, and slot 2 of P_2k glued to slot 2 of P_2k+1."""
+    n = 2 * genus - 2
+    pants = [f"P{i}" for i in range(n)]
+    gluings = [Gluing(f"r{i}", (pants[i], 1), (pants[(i + 1) % n], 0)) for i in range(n)]
+    gluings += [Gluing(f"s{k}", (pants[2 * k], 2), (pants[2 * k + 1], 2)) for k in range(genus - 1)]
+    return build_decomposition(pants, gluings, [])
+
+
+class ScanCounter(tuple):
+    """A tuple that counts how often it is scanned, by iteration or by `in`."""
+
+    scans = 0
+
+    def __iter__(self):
+        self.scans += 1
+        return super().__iter__()
+
+    def __contains__(self, item):
+        self.scans += 1
+        return super().__contains__(item)
+
+
+class TestLinearInPants:
+    """Structure, not wall time: reading a file scans the pants list a fixed number of times."""
+
+    def test_loads_scans_the_pants_a_bounded_number_of_times(self, monkeypatch):
+        d = ring_chain(50)
+        g = random_surface_goldman(d, np.random.default_rng(103))
+        texts = [
+            fileio.dumps(fileio.file_from_goldman(d, g)),
+            fileio.dumps(fileio.file_from_bd(d, goldman_to_bd(d, g))),
+        ]
+        built = []
+
+        def counting(pants, gluings, boundaries):
+            decomposition = build_decomposition(pants, gluings, boundaries)
+            built.append(ScanCounter(decomposition.pants))
+            return replace(decomposition, pants=built[-1])
+
+        monkeypatch.setattr(fileio, "build_decomposition", counting)
+        for text in texts:
+            cf = fileio.loads(text)
+            assert cf.decomposition.pants is built[-1]
+            assert len(built[-1]) == 98
+            assert built[-1].scans <= 2, cf.system
+
+
+def reference_dumps(cf: fileio.CoordinateFile) -> str:
+    """The writer's reference: the document built as dicts and lists, through json.dumps."""
+    d = cf.decomposition
+    surface = {
+        "pants": list(d.pants),
+        "gluings": [
+            {
+                "curve": g.curve,
+                "plus": list(g.plus),
+                "minus": list(g.minus),
+                "arc": {"left": g.arc.left, "right": g.arc.right},
+            }
+            for g in d.gluings
+        ],
+        "boundaries": [{"curve": b.curve, "slot": list(b.slot)} for b in d.boundaries],
+    }
+    document = {
+        "schema_version": fileio.SCHEMA_VERSION,
+        "surface": surface,
+        "system": cf.system,
+        "values": {"curves": cf.curve_values, "pants": cf.pants_values},
+    }
+    return json.dumps(document, indent=2, allow_nan=False) + "\n"
+
+
+# one decomposition with no gluings, one with both kinds of curve, one closed
+SHAPES = [
+    fileio.load_file(SAMPLES / name).decomposition
+    for name in ("pants_goldman.json", "torus_goldman.json", "genus2_goldman.json")
+]
+# quotes, backslashes, control characters, non-ASCII and astral characters
+KEYS = st.text(st.sampled_from('P0"\\/\n\x00\x7f\u00e9\u2603\U0001d11e') | st.characters(), max_size=6)
+NUMBERS = (
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308])
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.floats(allow_nan=False, allow_infinity=False).map(np.float64)
+    | st.integers(-(2**70), 2**70)
+)
+FIELDS = {
+    fileio.GOLDMAN: (("lambda", "tau", "u", "v"), ("lambda", "tau"), ("s", "t")),
+    fileio.BD: (("sigma1_C", "sigma2_C"), None, ("sigma1", "sigma2", "tau_plus", "tau_minus")),
+}
+
+
+@st.composite
+def coordinate_files(draw) -> fileio.CoordinateFile:
+    """A sample's decomposition under drawn keys, with drawn values of either system."""
+    shape = draw(st.sampled_from(SHAPES))
+    pants = dict(zip(shape.pants, draw(st.lists(KEYS, min_size=len(shape.pants),
+                                                 max_size=len(shape.pants), unique=True))))
+    names = shape.curve_names()
+    curves = dict(zip(names, draw(st.lists(KEYS, min_size=len(names), max_size=len(names),
+                                           unique=True))))
+
+    def slot(s):
+        return (pants[s[0]], s[1])
+
+    d = build_decomposition(
+        list(pants.values()),
+        [replace(g, curve=curves[g.curve], plus=slot(g.plus), minus=slot(g.minus))
+         for g in shape.gluings],
+        [BoundarySlot(curves[b.curve], slot(b.slot)) for b in shape.boundaries],
+    )
+    system = draw(st.sampled_from([fileio.GOLDMAN, fileio.BD]))
+    internal_fields, boundary_fields, pants_fields = FIELDS[system]
+
+    def entry(fields):
+        return {
+            name: draw(st.lists(NUMBERS, min_size=3, max_size=3))
+            if name in ("sigma1", "sigma2") else draw(NUMBERS)
+            for name in fields
+        }
+
+    curve_values = {key: entry(internal_fields) for key in d.internal_curves()}
+    if boundary_fields:
+        curve_values.update((b.curve, entry(boundary_fields)) for b in d.boundaries)
+    pants_values = {key: entry(pants_fields) for key in d.pants}
+    return fileio.CoordinateFile(d, system, curve_values, pants_values)
+
+
+class TestWriter:
+    @given(coordinate_files())
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    def test_bytes_match_json_dumps(self, cf):
+        assert fileio.dumps(cf) == reference_dumps(cf)
+
+    @given(coordinate_files(), st.data())
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    def test_non_finite_value_names_its_path(self, cf, data):
+        group, entries = data.draw(
+            st.sampled_from([("curves", cf.curve_values), ("pants", cf.pants_values)])
+            .filter(lambda pair: pair[1])
+        )
+        key = data.draw(st.sampled_from(list(entries)))
+        name = data.draw(st.sampled_from(list(entries[key])))
+        bad = data.draw(st.sampled_from([math.nan, math.inf, -math.inf, np.float64(-math.inf)]))
+        if isinstance(entries[key][name], list):
+            entries[key][name][data.draw(st.integers(0, 2))] = bad
+        else:
+            entries[key][name] = bad
+        with pytest.raises(ValueError):
+            reference_dumps(cf)
+        message = f"values.{group}[{key!r}].{name}: {entries[key][name]!r} is not a finite number"
+        with pytest.raises(DomainViolation) as raised:
+            fileio.dumps(cf)
+        assert str(raised.value) == message

@@ -130,6 +130,14 @@ class TestTripleRatio:
         with pytest.raises(DegenerateConfiguration):
             triple_ratio_log(f1, f2, f3)
 
+    def test_overflowing_ratio_raises(self):
+        # l1.p2 = l3.p1 = 1e200 and the other four pairings are 1
+        f1 = Flag([1.0, 0.0, 0.0], [0.0, 1e200, 1.0])
+        f2 = Flag([0.0, 1.0, 0.0], [1.0, 0.0, 1.0])
+        f3 = Flag([0.0, 0.0, 1.0], [1e200, 1.0, 0.0])
+        with pytest.raises(DegenerateConfiguration, match=r"triple ratio overflows a float"):
+            triple_ratio_log(f1, f2, f3)
+
 
 class TestShearLogs:
     def test_dictionary_b1_symbolic(self):
@@ -157,6 +165,13 @@ class TestShearLogs:
         f1, f2, f3 = config.inner_flags
         with pytest.raises(DegenerateConfiguration, match=r"pairing lpos\.down overflows a float"):
             shear_logs(f2, f3, f1, ProjPoint([1e308, 1.0, 1e308]))
+
+    def test_overflowing_ratio_raises(self):
+        # every pairing is finite; their quotient is not
+        config = config_from_fg(SYMMETRIC.sigma1, SYMMETRIC.sigma2, SYMMETRIC.tau_plus)
+        f1, f2, f3 = config.inner_flags
+        with pytest.raises(DegenerateConfiguration, match=r"shear ratio sigma1 overflows a float"):
+            shear_logs(f2, f3, f1, ProjPoint([-1e-320, 1.0, 1.0]))
 
     def test_symmetric_example(self):
         config = config_from_fg(SYMMETRIC.sigma1, SYMMETRIC.sigma2, SYMMETRIC.tau_plus)
