@@ -48,20 +48,30 @@ def _dot(u, v) -> float:
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def _floats(v) -> tuple[np.ndarray, tuple[float, float, float]]:
-    """A 3-vector as the stored ndarray and as the float triple the kernel pairs."""
-    arr = np.asarray(v, dtype=float).reshape(3)
-    return arr, tuple(arr.tolist())
+_EXACT_SCALARS = frozenset((float, int))
+
+
+def _floats(v) -> tuple[float, float, float]:
+    """A 3-vector as the float triple the kernel pairs.
+
+    A list or tuple of three floats or ints is read directly; anything else
+    goes through numpy, which converts it and raises on a wrong shape.
+    """
+    if (type(v) is tuple or type(v) is list) and len(v) == 3:
+        x, y, z = v
+        if {type(x), type(y), type(z)} <= _EXACT_SCALARS:
+            return (float(x), float(y), float(z))
+    return tuple(np.asarray(v, dtype=float).reshape(3).tolist())
 
 
 def wedge2(u, v) -> np.ndarray:
     """Covector of the plane spanned by u and v: their cross product, written out."""
-    return np.array(_cross(_floats(u)[1], _floats(v)[1]))
+    return np.array(_cross(_floats(u), _floats(v)))
 
 
 def wedge3(u, v, w) -> float:
     """Determinant of the 3x3 matrix with rows u, v, w."""
-    return _dot(_cross(_floats(u)[1], _floats(v)[1]), _floats(w)[1])
+    return _dot(_cross(_floats(u), _floats(v)), _floats(w))
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,29 +80,38 @@ class ProjPoint:
 
     Two points are equal when their canonical representatives agree; the
     canonical representative rescales so the first coordinate of nonsmall
-    magnitude becomes +1.
+    magnitude becomes +1.  The coordinates are kept as a float triple;
+    `coords` and `canonical()` return new ndarrays.
     """
 
-    coords: np.ndarray
+    _triple: tuple[float, float, float]
 
     def __init__(self, coords):
-        arr, triple = _floats(coords)
+        triple = _floats(coords)
         if not all(map(math.isfinite, triple)) or not any(triple):
             raise ValueError(f"homogeneous coordinates must be finite and not all zero: {coords!r}")
-        object.__setattr__(self, "coords", arr)
         object.__setattr__(self, "_triple", triple)
 
-    def canonical(self) -> np.ndarray:
+    @property
+    def coords(self) -> np.ndarray:
+        return np.array(self._triple)
+
+    def _canonical(self) -> tuple[float, float, float]:
         scale_floor = DEGENERACY_TOL * max(map(abs, self._triple))
         for value in self._triple:
             if abs(value) > scale_floor:
-                return self.coords / value
+                return tuple(c / value for c in self._triple)
         raise ValueError("no usable pivot coordinate")
+
+    def canonical(self) -> np.ndarray:
+        return np.array(self._canonical())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ProjPoint):
             return NotImplemented
-        return bool(np.allclose(self.canonical(), other.canonical(), rtol=1e-8, atol=1e-8))
+        # np.allclose's rule per coordinate: |a - b| <= 1e-8 + 1e-8 * |b|
+        return all(abs(a - b) <= 1e-8 + 1e-8 * abs(b)
+                   for a, b in zip(self._canonical(), other._canonical()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,25 +120,32 @@ class Flag:
 
     The point carries the 1-dimensional part, the line covector the
     2-dimensional part; incidence, relative to the two norms, is required at
-    construction.  Both are stored as given: every invariant below is
-    unchanged when either is rescaled.
+    construction.  Both are stored as given, as float triples: every
+    invariant below is unchanged when either is rescaled.  `point` and
+    `line` return new ndarrays.
     """
 
-    point: np.ndarray
-    line: np.ndarray
+    _point: tuple[float, float, float]
+    _line: tuple[float, float, float]
 
     def __init__(self, point, line):
-        pt, p = _floats(point)
-        ln, ell = _floats(line)
+        p = _floats(point)
+        ell = _floats(line)
         p_norm, l_norm = math.hypot(*p), math.hypot(*ell)
         if p_norm == 0.0 or l_norm == 0.0:
             raise ValueError("zero vector has no direction")
         if abs(_dot(ell, p)) > 1e-12 * l_norm * p_norm:
             raise ValueError("flag line does not pass through the flag point")
-        object.__setattr__(self, "point", pt)
-        object.__setattr__(self, "line", ln)
         object.__setattr__(self, "_point", p)
         object.__setattr__(self, "_line", ell)
+
+    @property
+    def point(self) -> np.ndarray:
+        return np.array(self._point)
+
+    @property
+    def line(self) -> np.ndarray:
+        return np.array(self._line)
 
 
 def _pairing(line, point, what: str) -> float:
@@ -182,6 +208,10 @@ def shear_logs(fpos: Flag, fneg: Flag, fup: Flag, fdown_point: ProjPoint) -> tup
     return (math.log(ratio1), math.log(ratio2))
 
 
+# The inner ideal triangle: the coordinate points [1,0,0], [0,1,0], [0,0,1].
+_INNER_POINTS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+
+
 @dataclass(frozen=True)
 class PantsFlagConfig:
     """The normalized flag configuration of a pair of pants.
@@ -214,23 +244,24 @@ class PantsFlagConfig:
             if not value > bound:
                 raise ValueError(f"{name} = {value!r} must exceed {bound!r}")
 
-    @cached_property
+    @property
     def inner_points(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return (np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0]))
+        return tuple(map(np.array, _INNER_POINTS))
 
-    @cached_property
+    @property
     def intersection_points(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Pairwise meets of the inner flag planes: (1&3, 1&2, 2&3)."""
-        return (
-            np.array([1.0, -1.0, 1.0]),
-            np.array([self.x, 1.0, -1.0]),
-            np.array([-self.x, self.x, 1.0]),
-        )
+        return tuple(map(np.array, self._meets))
+
+    @cached_property
+    def _meets(self) -> tuple[tuple[float, float, float], ...]:
+        x = float(self.x)
+        return ((1.0, -1.0, 1.0), (x, 1.0, -1.0), (-x, x, 1.0))
 
     @cached_property
     def inner_flags(self) -> tuple[Flag, Flag, Flag]:
-        meet13, meet12, _ = (m.tolist() for m in self.intersection_points)
-        p1, p2, p3 = (p.tolist() for p in self.inner_points)
+        meet13, meet12, _ = self._meets
+        p1, p2, p3 = _INNER_POINTS
         return (
             Flag(p1, _cross(p1, meet13)),
             Flag(p2, _cross(p2, meet12)),
@@ -240,9 +271,9 @@ class PantsFlagConfig:
     @cached_property
     def outer_points(self) -> tuple[ProjPoint, ProjPoint, ProjPoint]:
         return (
-            ProjPoint([-1.0, self.b1, self.c1]),
-            ProjPoint([self.a2, -1.0, self.c2]),
-            ProjPoint([self.a3, self.b3, -1.0]),
+            ProjPoint((-1.0, self.b1, self.c1)),
+            ProjPoint((self.a2, -1.0, self.c2)),
+            ProjPoint((self.a3, self.b3, -1.0)),
         )
 
 
@@ -321,19 +352,29 @@ def oracle_check(f: FGPants) -> OracleReport:
 
 @dataclass(frozen=True)
 class MonodromyBranch:
-    """One real solution of the scaling equations, with its flag residual."""
+    """One real solution of the scaling equations, with its flag residual.
 
-    matrix: np.ndarray
+    The matrix is kept as three float rows; `matrix` returns a new ndarray.
+    """
+
+    rows: tuple[tuple[float, float, float], ...]
     flag_residual: float
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return np.array(self.rows)
 
 
 @dataclass(frozen=True)
 class MonodromyResult:
-    """Reconstructed holonomies and, per matrix, every real scaling branch
-    ordered by flag residual; the primary matrix is the first branch's."""
+    """Every real scaling branch per holonomy, ordered by flag residual; the
+    primary matrix of each holonomy is its first branch's."""
 
-    matrices: tuple[np.ndarray, np.ndarray, np.ndarray]
     branches: tuple[tuple[MonodromyBranch, ...], ...]
+
+    @property
+    def matrices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return tuple(branches[0].matrix for branches in self.branches)
 
 
 def _quadratic_roots(a: float, b: float, c: float) -> list[float]:
@@ -374,40 +415,64 @@ def reconstruct_monodromy(c: PantsFlagConfig, eigen) -> MonodromyResult:
     flags = c.inner_flags
     points = [f._point for f in flags]
     outer = [p._triple for p in c.outer_points]
-    matrices = []
     all_branches = []
     for i in range(3):
         lam, nu = eigen[i].lam, eigen[i].nu
         trace = lam + eigen[i].mu + nu
-        line = flags[i]._line
-        sources = [points[i], points[(i + 2) % 3], outer[(i + 1) % 3]]
-        images = [points[i], outer[(i + 2) % 3], points[(i + 1) % 3]]
-        # Cofactor rows invert the matrix with columns `sources`; both determinants are +-1.
-        # Row 2 is sources[0] ^ sources[1], so its pairing with sources[2] is wedge3(*sources).
-        cofactors = [_cross(sources[(j + 1) % 3], sources[(j + 2) % 3]) for j in range(3)]
-        det_sources = _dot(cofactors[2], sources[2])
-        rows = [tuple(v / det_sources for v in row) for row in cofactors]
-        columns = list(zip(*rows))
-        traces = [_dot(images[j], rows[j]) for j in range(3)]
+        l0, l1, l2 = line = flags[i]._line
+        norm = nu * math.hypot(*line)
+        # M fixes sources[0] and maps sources[1] -> images[1], sources[2] -> images[2].
+        sources = (points[i], points[(i + 2) % 3], outer[(i + 1) % 3])
+        images = (points[i], outer[(i + 2) % 3], points[(i + 1) % 3])
+        # Rows r, s, t invert the matrix with columns `sources`: they are the
+        # cofactor rows over det_sources (which is +-1).  Row t is
+        # sources[0] ^ sources[1], so its pairing with sources[2] is wedge3(*sources).
+        r0, r1, r2 = _cross(sources[1], sources[2])
+        s0, s1, s2 = _cross(sources[2], sources[0])
+        t0, t1, t2 = _cross(sources[0], sources[1])
+        det_sources = _dot((t0, t1, t2), sources[2])
+        r0, r1, r2 = r0 / det_sources, r1 / det_sources, r2 / det_sources
+        s0, s1, s2 = s0 / det_sources, s1 / det_sources, s2 / det_sources
+        t0, t1, t2 = t0 / det_sources, t1 / det_sources, t2 / det_sources
+        x0, x1, x2 = images[0]
+        y0, y1, y2 = images[1]
+        z0, z1, z2 = images[2]
         det_ratio = _dot(_cross(images[0], images[1]), images[2]) / det_sources
-        # det M = lam * beta * gamma * det_ratio = 1, so beta*gamma is fixed;
-        # substituting gamma into the trace condition gives the quadratic.
+        # M = lam x(x)r + beta y(x)s + gamma z(x)t with det M = lam * beta * gamma *
+        # det_ratio = 1, so beta*gamma is fixed; substituting gamma into the trace
+        # condition gives the quadratic in beta.
         product = 1.0 / (lam * det_ratio)
-        roots = _quadratic_roots(traces[1], lam * traces[0] - trace, product * traces[2])
+        roots = _quadratic_roots(
+            y0 * s0 + y1 * s1 + y2 * s2,
+            lam * (x0 * r0 + x1 * r1 + x2 * r2) - trace,
+            product * (z0 * t0 + z1 * t1 + z2 * t2),
+        )
+        u0, u1, u2 = lam * x0, lam * x1, lam * x2
         branches = []
         for beta in roots:
             if beta == 0.0:
                 continue
             gamma = product / beta
-            # M = sum_j scale_j * images[j] (x) rows[j], assembled row by row.
-            scaled = ([s * v for v in image] for s, image in zip((lam, beta, gamma), images))
-            m = [[a * r0 + b * r1 + g * r2 for r0, r1, r2 in columns] for a, b, g in zip(*scaled)]
-            drift = [_dot(line, column) - nu * ell for column, ell in zip(zip(*m), line)]
-            flag_residual = math.hypot(*drift) / (nu * math.hypot(*line))
-            branches.append(MonodromyBranch(np.array(m), flag_residual))
+            v0, v1, v2 = beta * y0, beta * y1, beta * y2
+            w0, w1, w2 = gamma * z0, gamma * z1, gamma * z2
+            m00 = u0 * r0 + v0 * s0 + w0 * t0
+            m01 = u0 * r1 + v0 * s1 + w0 * t1
+            m02 = u0 * r2 + v0 * s2 + w0 * t2
+            m10 = u1 * r0 + v1 * s0 + w1 * t0
+            m11 = u1 * r1 + v1 * s1 + w1 * t1
+            m12 = u1 * r2 + v1 * s2 + w1 * t2
+            m20 = u2 * r0 + v2 * s0 + w2 * t0
+            m21 = u2 * r1 + v2 * s1 + w2 * t1
+            m22 = u2 * r2 + v2 * s2 + w2 * t2
+            drift = math.hypot(
+                l0 * m00 + l1 * m10 + l2 * m20 - nu * l0,
+                l0 * m01 + l1 * m11 + l2 * m21 - nu * l1,
+                l0 * m02 + l1 * m12 + l2 * m22 - nu * l2,
+            )
+            rows = ((m00, m01, m02), (m10, m11, m12), (m20, m21, m22))
+            branches.append(MonodromyBranch(rows, drift / norm))
         if not branches:
             raise NoValidBranch(f"no real scaling branch for vertex {i + 1}")
         branches.sort(key=lambda br: br.flag_residual)
-        matrices.append(branches[0].matrix)
         all_branches.append(tuple(branches))
-    return MonodromyResult(tuple(matrices), tuple(all_branches))
+    return MonodromyResult(tuple(all_branches))

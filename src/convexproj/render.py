@@ -9,10 +9,10 @@ coordinate sum is numerically zero anyway.
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
 from .errors import ChartFailure
-from .flags import PantsFlagConfig
+from .flags import _INNER_POINTS, PantsFlagConfig
 
 CHART_TOL = 1e-9
 
@@ -26,11 +26,11 @@ _LINE_COLOR = "#8a1f1f"
 
 def chart_point(v) -> tuple[float, float]:
     """Affine coordinates of [X:Y:Z] in the chart X+Y+Z = 1."""
-    arr = np.asarray(v, dtype=float)
-    total = float(arr.sum())
+    x, y, z = map(float, v)
+    total = x + y + z
     if abs(total) < CHART_TOL:
-        raise ChartFailure(f"point {arr.tolist()!r} has coordinate sum {total!r}")
-    return (float(arr[0]) / total, float(arr[1]) / total)
+        raise ChartFailure(f"point {[x, y, z]!r} has coordinate sum {total!r}")
+    return (x / total, y / total)
 
 
 def _fmt(value: float) -> str:
@@ -38,16 +38,16 @@ def _fmt(value: float) -> str:
 
 
 def _label(v) -> str:
-    return "[" + ", ".join(_fmt(float(c)) for c in np.asarray(v, dtype=float)) + "]"
+    return "[" + ", ".join(map(_fmt, v)) + "]"
 
 
 def render_config_svg(config: PantsFlagConfig) -> str:
     """SVG document showing the four triangles and the three flag lines."""
     vertices = dict(zip(
         ("p1", "p2", "p3", "q1", "q2", "q3"),
-        (*config.inner_points, *(op.coords for op in config.outer_points)),
+        (*_INNER_POINTS, *(op._triple for op in config.outer_points)),
     ))
-    meets = dict(zip(("m13", "m12", "m23"), config.intersection_points))
+    meets = dict(zip(("m13", "m12", "m23"), config._meets))
     charted = {name: chart_point(vec) for name, vec in {**vertices, **meets}.items()}
 
     triangles = [
@@ -85,17 +85,16 @@ def render_config_svg(config: PantsFlagConfig) -> str:
             f'stroke="{_EDGE}" stroke-width="1"/>'
         )
     for names in flag_lines:
-        pts = np.array([charted[n] for n in names])
-        center = pts.mean(axis=0)
-        direction = pts[-1] - pts[0]
-        norm = float(np.hypot(*direction))
+        (x0, y0), (x1, y1), (x2, y2) = (charted[n] for n in names)
+        cx, cy = (x0 + x1 + x2) / 3, (y0 + y1 + y2) / 3
+        dx, dy = x2 - x0, y2 - y0
+        norm = math.hypot(dx, dy)
         if norm < 1e-12:
-            direction = np.array([1.0, 0.0])
-            norm = 1.0
-        direction = direction / norm
+            dx, dy, norm = 1.0, 0.0, 1.0
+        dx, dy = dx / norm, dy / norm
         reach = 0.75 * span
-        a = to_px(center - reach * direction)
-        b = to_px(center + reach * direction)
+        a = to_px((cx - reach * dx, cy - reach * dy))
+        b = to_px((cx + reach * dx, cy + reach * dy))
         parts.append(
             f'<line x1="{a[0]:.2f}" y1="{a[1]:.2f}" x2="{b[0]:.2f}" y2="{b[1]:.2f}" '
             f'stroke="{_LINE_COLOR}" stroke-width="1.2" stroke-dasharray="6 3"/>'

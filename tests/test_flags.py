@@ -1,9 +1,11 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import convexproj.flags as flags
+from convexproj import cli, fileio
 from convexproj.cli import ORACLE_GATE
 from convexproj.errors import (
     DegenerateConfiguration,
@@ -30,7 +32,30 @@ from convexproj.spectral import EigenTriple, eigen_from_boundary
 
 E = math.e
 
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+
 SYMMETRIC = FGPants((-1.0,) * 3, (-1.0,) * 3, 0.0, 0.0)
+# b3 = e^400 + 1: a configuration coordinate whose square overflows a float
+FAR = FGPants((-1.0,) * 3, (-1.0, -1.0, -400.0), 0.0, 0.0)
+# tau_plus = tau_minus = 0.  np.linalg.eig misses the spectrum of a holonomy of
+# each by more than 1e-8, so a spectrum filter at that tolerance drops the true
+# branch: for the first tuple no branch is left, for the second only the wrong one.
+ILL_CONDITIONED = [
+    ((-2.1, -2.1, -9.5), (-9.2, -1.6, -8.4)),
+    ((-9.0, 3.4, -6.7), (-5.0, -9.8, -8.0)),
+]
+
+
+def readme_sweep(bound, count):
+    """The first `count` valid tuples of the README's measured-range sweep at R = `bound`."""
+    rng = np.random.default_rng(2016)
+    kept = []
+    while len(kept) < count:
+        v = rng.uniform(-bound, bound, 8)
+        f = FGPants(tuple(v[:3]), tuple(v[3:6]), float(v[6]), float(v[7]))
+        if validate_fg_domain(f):
+            kept.append(f)
+    return kept
 
 
 def random_flag(rng):
@@ -419,13 +444,7 @@ class TestMonodromy:
             spectrum = np.sort(np.linalg.eigvals(branches[1].matrix).real)
             assert spectrum == pytest.approx((E**-2, 1.0, E**2), rel=1e-8)
 
-    # tau_plus = tau_minus = 0.  np.linalg.eig misses the spectrum of a holonomy of
-    # each by more than 1e-8, so a spectrum filter at that tolerance drops the true
-    # branch: for the first tuple no branch is left, for the second only the wrong one.
-    @pytest.mark.parametrize(
-        "sigma1, sigma2",
-        [((-2.1, -2.1, -9.5), (-9.2, -1.6, -8.4)), ((-9.0, 3.4, -6.7), (-5.0, -9.8, -8.0))],
-    )
+    @pytest.mark.parametrize("sigma1, sigma2", ILL_CONDITIONED)
     def test_ill_conditioned_holonomies(self, sigma1, sigma2):
         report = oracle_check(FGPants(sigma1, sigma2, 0.0, 0.0))
         result = reconstruct_monodromy(report.config, report.eigen)
@@ -435,15 +454,7 @@ class TestMonodromy:
             assert spectrum == pytest.approx((e.lam, e.mu, e.nu), rel=1e-6)
 
     def test_readme_sweep_at_bound_15(self):
-        # the first 200 valid tuples of the README's measured-range sweep at R = 15
-        rng = np.random.default_rng(2016)
-        kept = 0
-        while kept < 200:
-            v = rng.uniform(-15.0, 15.0, 8)
-            f = FGPants(tuple(v[:3]), tuple(v[3:6]), float(v[6]), float(v[7]))
-            if not validate_fg_domain(f):
-                continue
-            kept += 1
+        for f in readme_sweep(15.0, 200):
             report = oracle_check(f)
             assert report.max_residual <= ORACLE_GATE
             result = reconstruct_monodromy(report.config, report.eigen)
@@ -459,3 +470,80 @@ class TestMonodromy:
         monkeypatch.setattr(flags, "_quadratic_roots", lambda a, b, c: [])
         with pytest.raises(NoValidBranch):
             reconstruct_monodromy(config, eigen)
+
+
+def listcomp_monodromy(c, eigen):
+    """Branches as (matrix bytes, flag residual), the smallest residual first,
+    assembled with the listcomps and zips of the earlier kernel; the written-out
+    kernel must do the same products in the same order.
+
+    On a normalized configuration lam * p_i and gamma * p_{i+1} each have one
+    nonzero coordinate, so every matrix entry sums at most two nonzero terms and
+    its summation order cannot show; its products and the drift sums can.
+    """
+    flag_triples = c.inner_flags
+    points = [f._point for f in flag_triples]
+    outer = [p._triple for p in c.outer_points]
+    all_branches = []
+    for i in range(3):
+        lam, nu = eigen[i].lam, eigen[i].nu
+        trace = lam + eigen[i].mu + nu
+        line = flag_triples[i]._line
+        sources = [points[i], points[(i + 2) % 3], outer[(i + 1) % 3]]
+        images = [points[i], outer[(i + 2) % 3], points[(i + 1) % 3]]
+        cofactors = [flags._cross(sources[(j + 1) % 3], sources[(j + 2) % 3]) for j in range(3)]
+        det_sources = flags._dot(cofactors[2], sources[2])
+        rows = [tuple(v / det_sources for v in row) for row in cofactors]
+        columns = list(zip(*rows))
+        traces = [flags._dot(images[j], rows[j]) for j in range(3)]
+        det_ratio = flags._dot(flags._cross(images[0], images[1]), images[2]) / det_sources
+        product = 1.0 / (lam * det_ratio)
+        roots = flags._quadratic_roots(traces[1], lam * traces[0] - trace, product * traces[2])
+        branches = []
+        for beta in roots:
+            if beta == 0.0:
+                continue
+            gamma = product / beta
+            scaled = ([s * v for v in image] for s, image in zip((lam, beta, gamma), images))
+            m = [[a * r0 + b * r1 + g * r2 for r0, r1, r2 in columns] for a, b, g in zip(*scaled)]
+            drift = [flags._dot(line, column) - nu * ell for column, ell in zip(zip(*m), line)]
+            flag_residual = math.hypot(*drift) / (nu * math.hypot(*line))
+            branches.append((np.array(m).tobytes(), flag_residual))
+        branches.sort(key=lambda br: br[1])
+        all_branches.append(branches)
+    return all_branches
+
+
+class TestWrittenOutHolonomy:
+    @pytest.mark.parametrize("source", ["sampler", "readme_sweep_15", "ill_conditioned"])
+    def test_bit_identical_to_the_listcomp_assembly(self, source):
+        if source == "sampler":
+            rng = np.random.default_rng(12)
+            tuples = [random_fg_pants(rng) for _ in range(500)]
+        elif source == "readme_sweep_15":
+            tuples = readme_sweep(15.0, 1000)
+        else:
+            tuples = [FGPants(sigma1, sigma2, 0.0, 0.0) for sigma1, sigma2 in ILL_CONDITIONED]
+        for f in tuples:
+            report = oracle_check(f)
+            result = reconstruct_monodromy(report.config, report.eigen)
+            written_out = [[(br.matrix.tobytes(), br.flag_residual) for br in branches]
+                           for branches in result.branches]
+            assert written_out == listcomp_monodromy(report.config, report.eigen)
+            assert [m.tobytes() for m in result.matrices] == [b[0][0] for b in written_out]
+
+
+class _NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} reached on the oracle path")
+
+
+def test_oracle_path_builds_no_ndarray(monkeypatch, capsys):
+    sample = fileio.load_file(SAMPLES / "pants_bd.json").bd()
+    monkeypatch.setattr(flags, "np", _NoNumpy())
+    for f in (SYMMETRIC, FAR, *sample.pants.values()):
+        report = oracle_check(f)
+        assert report.max_residual <= ORACLE_GATE
+        reconstruct_monodromy(report.config, report.eigen)
+    assert cli.main(["oracle", "--monodromy", str(SAMPLES / "pants_bd.json")]) == 0
+    assert "worst residual" in capsys.readouterr().out

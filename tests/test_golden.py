@@ -4,8 +4,7 @@ Each case runs one command through ``cli.main`` and compares its exit code,
 standard output, standard error and output file with the files recorded
 under ``tests/golden/``: ``results.json`` holds the first three per case,
 ``<case>.out`` the output file's bytes (no such file when the command
-writes none).  ``render`` is left out: its coordinates still go through
-numpy array arithmetic, and ``test_render.py`` checks its SVG structurally.
+writes none).
 """
 
 import contextlib
@@ -30,6 +29,7 @@ COMMANDS = {
                 "{output}"),
     "oracle": ("oracle", "{input}"),
     "oracle-monodromy": ("oracle", "{input}", "--monodromy"),
+    "render": ("render", "{input}", "--pants", "P0", "{output}"),
 }
 CASES = [f"{sample}.{command}" for sample in SAMPLE_NAMES for command in COMMANDS]
 
