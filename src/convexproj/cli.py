@@ -45,12 +45,15 @@ ORACLE_GATE = 1e-9
 def cmd_convert(args) -> int:
     cf = fileio.load_file(args.input)
     d = cf.decomposition
-    if args.to == cf.system:
-        out = cf
-    elif args.to == fileio.BD:
+    if cf.system == fileio.GOLDMAN:
         out = fileio.file_from_bd(d, goldman_to_bd(d, cf.goldman()))
     else:
         out = fileio.file_from_goldman(d, bd_to_goldman(d, cf.bd()))
+    if args.to == cf.system:
+        # --to the file's own system refuses what the other direction refuses,
+        # then writes the file as it was read
+        fileio.dumps(out)
+        out = cf
     fileio.save_file(args.output, out)
     return 0
 

@@ -37,10 +37,10 @@ Reading and writing take time linear in the number of pants.
 from __future__ import annotations
 
 import json
-import math
 from collections import Counter
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _string
+from math import isfinite
 
 from .errors import DomainViolation, SchemaError, located
 from .pants import FGPants
@@ -89,7 +89,7 @@ def _expect_object(value, path: str, required: frozenset[str]) -> dict:
 
 
 def _expect_number(value, path: str) -> float:
-    if type(value) is float and math.isfinite(value):
+    if type(value) is float and isfinite(value):
         return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"expected a number, got {value!r}")
@@ -102,15 +102,11 @@ def _expect_number(value, path: str) -> float:
     return number
 
 
-def _expect_slot(value, path: str) -> tuple[str, int]:
-    if (
-        not isinstance(value, list)
-        or len(value) != 2
-        or not isinstance(value[0], str)
-        or type(value[1]) is not int
-        or value[1] not in (0, 1, 2)
-    ):
-        _fail(path, f"expected [pants, slot 0..2], got {value!r}")
+def _expect_slot(value, path: str, k: int) -> tuple[str, int]:
+    """``value`` as a slot; ``path % k`` is its JSON path, formatted only for a fault."""
+    if (type(value) is not list or len(value) != 2 or type(value[0]) is not str
+            or type(value[1]) is not int or not 0 <= value[1] <= 2):
+        _fail(path % k, f"expected [pants, slot 0..2], got {value!r}")
     return (value[0], value[1])
 
 
@@ -162,41 +158,68 @@ class CoordinateFile:
         return SurfaceBD(pants, shears)
 
 
+def _expect_arc(left, right, path: str) -> ArcData:
+    try:
+        return ArcData(left, right)
+    except ValueError as err:
+        _fail(path, str(err))
+
+
+def _is_float_triple(value) -> bool:
+    """Whether ``value`` is a list of three finite floats of exact type."""
+    return (type(value) is list and len(value) == 3
+            and type(value[0]) is float and type(value[1]) is float and type(value[2]) is float
+            and isfinite(value[0]) and isfinite(value[1]) and isfinite(value[2]))
+
+
+def _expect_triple(seq, path: str) -> list[float]:
+    if not isinstance(seq, list) or len(seq) != 3:
+        _fail(path, "expected a list of three numbers")
+    return [_expect_number(v, f"{path}[{i}]") for i, v in enumerate(seq)]
+
+
+# Every gluing with the same arc indices shares one ArcData.
+_ARCS = {(left, right): ArcData(left, right) for left in (1, 2, 3) for right in (1, 2, 3)}
+
+
+# The parsers test each value's exact type inline (slots in _expect_slot): True
+# and 1.0 equal 1 but are not slot or arc indices, and an int is a number that
+# still has to become a float.  A value that fails its test goes to the _expect_*
+# helper that reports it (or converts the int), so a JSON path is formatted only
+# in that branch.
 def _parse_surface(raw) -> PantsDecomposition:
     surface = _expect_object(raw, "surface", _SURFACE_FIELDS)
     pants = surface["pants"]
-    if not isinstance(pants, list) or not all(isinstance(p, str) for p in pants):
+    if type(pants) is not list or not all(type(p) is str for p in pants):
         _fail("surface.pants", "expected a list of pants keys")
     gluings = []
-    if not isinstance(surface["gluings"], list):
+    if type(surface["gluings"]) is not list:
         _fail("surface.gluings", "expected a list")
-    for k, item in enumerate(surface["gluings"]):
-        path = f"surface.gluings[{k}]"
-        entry = _expect_object(item, path, _GLUING_FIELDS)
-        if not isinstance(entry["curve"], str):
-            _fail(path, "curve key must be a string")
-        arc_raw = _expect_object(entry["arc"], f"{path}.arc", _ARC_FIELDS)
-        try:
-            arc = ArcData(arc_raw["left"], arc_raw["right"])
-        except ValueError as err:
-            _fail(f"{path}.arc", str(err))
-        gluings.append(
-            Gluing(
-                entry["curve"],
-                _expect_slot(entry["plus"], f"{path}.plus"),
-                _expect_slot(entry["minus"], f"{path}.minus"),
-                arc,
-            )
-        )
+    for k, entry in enumerate(surface["gluings"]):
+        if type(entry) is not dict or entry.keys() != _GLUING_FIELDS:
+            _expect_object(entry, f"surface.gluings[{k}]", _GLUING_FIELDS)
+        curve, plus, minus, arc = entry["curve"], entry["plus"], entry["minus"], entry["arc"]
+        if type(curve) is not str:
+            _fail(f"surface.gluings[{k}]", "curve key must be a string")
+        if type(arc) is not dict or arc.keys() != _ARC_FIELDS:
+            _expect_object(arc, f"surface.gluings[{k}].arc", _ARC_FIELDS)
+        left, right = arc["left"], arc["right"]
+        arc = _ARCS.get((left, right)) if type(left) is int and type(right) is int else None
+        if arc is None:
+            arc = _expect_arc(left, right, f"surface.gluings[{k}].arc")
+        plus = _expect_slot(plus, "surface.gluings[%d].plus", k)
+        minus = _expect_slot(minus, "surface.gluings[%d].minus", k)
+        gluings.append(Gluing(curve, plus, minus, arc))
     boundaries = []
-    if not isinstance(surface["boundaries"], list):
+    if type(surface["boundaries"]) is not list:
         _fail("surface.boundaries", "expected a list")
-    for k, item in enumerate(surface["boundaries"]):
-        path = f"surface.boundaries[{k}]"
-        entry = _expect_object(item, path, _BOUNDARY_FIELDS)
-        if not isinstance(entry["curve"], str):
-            _fail(path, "curve key must be a string")
-        boundaries.append(BoundarySlot(entry["curve"], _expect_slot(entry["slot"], f"{path}.slot")))
+    for k, entry in enumerate(surface["boundaries"]):
+        if type(entry) is not dict or entry.keys() != _BOUNDARY_FIELDS:
+            _expect_object(entry, f"surface.boundaries[{k}]", _BOUNDARY_FIELDS)
+        curve, slot = entry["curve"], entry["slot"]
+        if type(curve) is not str:
+            _fail(f"surface.boundaries[{k}]", "curve key must be a string")
+        boundaries.append(BoundarySlot(curve, _expect_slot(slot, "surface.boundaries[%d].slot", k)))
     return build_decomposition(pants, gluings, boundaries)
 
 
@@ -216,42 +239,49 @@ def _parse_values(raw, system: str, d: PantsDecomposition):
     required = {fields: frozenset(fields) for fields in (internal_fields, boundary_fields, pants_fields)}
 
     curves_raw = values["curves"]
-    if not isinstance(curves_raw, dict):
+    if type(curves_raw) is not dict:
         _fail("values.curves", "expected an object keyed by curve")
     curve_values: dict[str, dict[str, float]] = {}
     for key, entry in curves_raw.items():
-        path = f"values.curves[{key!r}]"
-        if key not in all_curves:
-            _fail(path, "curve does not exist in the surface")
-        fields = internal_fields if key in internal else boundary_fields
-        if not fields:
-            _fail(path, "bd files carry values for internal curves only")
-        entry = _expect_object(entry, path, required[fields])
-        curve_values[key] = {name: _expect_number(entry[name], f"{path}.{name}") for name in fields}
+        if key in internal:
+            fields = internal_fields
+        elif key not in all_curves:
+            _fail(f"values.curves[{key!r}]", "curve does not exist in the surface")
+        elif boundary_fields:
+            fields = boundary_fields
+        else:
+            _fail(f"values.curves[{key!r}]", "bd files carry values for internal curves only")
+        if type(entry) is not dict or entry.keys() != required[fields]:
+            _expect_object(entry, f"values.curves[{key!r}]", required[fields])
+        parsed = curve_values[key] = {}
+        for name in fields:
+            number = entry[name]
+            if type(number) is not float or not isfinite(number):
+                number = _expect_number(number, f"values.curves[{key!r}].{name}")
+            parsed[name] = number
     expected = all_curves if system == GOLDMAN else internal
     missing = expected - curve_values.keys()
     if missing:
         _fail("values.curves", f"missing entries for curves {sorted(missing)!r}")
 
     pants_raw = values["pants"]
-    if not isinstance(pants_raw, dict):
+    if type(pants_raw) is not dict:
         _fail("values.pants", "expected an object keyed by pants")
     pants_values: dict[str, dict] = {}
     for key, entry in pants_raw.items():
-        path = f"values.pants[{key!r}]"
         if key not in pants_keys:
-            _fail(path, "pants does not exist in the surface")
-        entry = _expect_object(entry, path, required[pants_fields])
-        parsed = {}
+            _fail(f"values.pants[{key!r}]", "pants does not exist in the surface")
+        if type(entry) is not dict or entry.keys() != required[pants_fields]:
+            _expect_object(entry, f"values.pants[{key!r}]", required[pants_fields])
+        parsed = pants_values[key] = {}
         for name in pants_fields:
+            value = entry[name]
             if name in ("sigma1", "sigma2"):
-                seq = entry[name]
-                if not isinstance(seq, list) or len(seq) != 3:
-                    _fail(f"{path}.{name}", "expected a list of three numbers")
-                parsed[name] = [_expect_number(v, f"{path}.{name}[{i}]") for i, v in enumerate(seq)]
-            else:
-                parsed[name] = _expect_number(entry[name], f"{path}.{name}")
-        pants_values[key] = parsed
+                if not _is_float_triple(value):
+                    value = _expect_triple(value, f"values.pants[{key!r}].{name}")
+            elif type(value) is not float or not isfinite(value):
+                value = _expect_number(value, f"values.pants[{key!r}].{name}")
+            parsed[name] = value
     missing = pants_keys - pants_values.keys()
     if missing:
         _fail("values.pants", f"missing entries for pants {sorted(missing)!r}")
@@ -336,25 +366,29 @@ def _number(value) -> str:
     return float.__repr__(value) if isinstance(value, float) else int.__repr__(value)
 
 
-def _slot(slot) -> str:
-    return _container("[]", [_string(slot[0]), _number(slot[1])], 4)
+# One %-template per entry layout, laid out by _container.  Keys and numbers
+# are encoded before they are put in; arc indices are ints by ArcData's check.
+_SLOT = _container("[]", ["%s", "%s"], 4)
+_GLUING = _container("{}", [
+    '"curve": %s', '"plus": ' + _SLOT, '"minus": ' + _SLOT,
+    '"arc": ' + _container("{}", ['"left": %d', '"right": %d'], 4),
+], 3)
+_BOUNDARY = _container("{}", ['"curve": %s', '"slot": ' + _SLOT], 3)
+_TRIPLE = _container("[]", ["%s", "%s", "%s"], 4)
 
 
 def _surface_json(d: PantsDecomposition) -> str:
-    gluings = [
-        _container("{}", [
-            f'"curve": {_string(g.curve)}',
-            f'"plus": {_slot(g.plus)}',
-            f'"minus": {_slot(g.minus)}',
-            '"arc": ' + _container(
-                "{}", [f'"left": {_number(g.arc.left)}', f'"right": {_number(g.arc.right)}'], 4
-            ),
-        ], 3)
-        for g in d.gluings
-    ]
+    gluings = []
+    for g in d.gluings:
+        plus, minus = g.plus, g.minus
+        gluings.append(_GLUING % (
+            _string(g.curve),
+            _string(plus[0]), _number(plus[1]),
+            _string(minus[0]), _number(minus[1]),
+            g.arc.left, g.arc.right,
+        ))
     boundaries = [
-        _container("{}", [f'"curve": {_string(b.curve)}', f'"slot": {_slot(b.slot)}'], 3)
-        for b in d.boundaries
+        _BOUNDARY % (_string(b.curve), _string(b.slot[0]), _number(b.slot[1])) for b in d.boundaries
     ]
     return _container("{}", [
         '"pants": ' + _container("[]", [_string(p) for p in d.pants], 2),
@@ -363,24 +397,40 @@ def _surface_json(d: PantsDecomposition) -> str:
     ], 1)
 
 
+def _value_json(group: str, key: str, name: str, value) -> str:
+    """A value that is neither an exact finite float nor a list of three: ints,
+    numpy floats, other lists, and the non-finite values it refuses."""
+    if isinstance(value, list):
+        finite = all(map(isfinite, value))
+        text = _container("[]", [_number(v) for v in value], 4)
+    else:
+        finite = isfinite(value)
+        text = _number(value)
+    if not finite:
+        # a conversion or flow can carry a value past the float range; flow amounts may be nan
+        raise DomainViolation(f"values.{group}[{key!r}].{name}: {value!r} is not a finite number")
+    return text
+
+
 def _values_json(group: str, entries: dict[str, dict]) -> str:
+    templates: dict[tuple[str, ...], str] = {}
     items = []
     for key, entry in entries.items():
-        fields = []
+        texts = []
         for name, value in entry.items():
-            if isinstance(value, list):
-                finite = all(map(math.isfinite, value))
-                text = _container("[]", [_number(v) for v in value], 4)
+            if type(value) is float and isfinite(value):
+                texts.append(float.__repr__(value))
+            elif _is_float_triple(value):
+                texts.append(_TRIPLE % (float.__repr__(value[0]), float.__repr__(value[1]),
+                                        float.__repr__(value[2])))
             else:
-                finite = math.isfinite(value)
-                text = _number(value)
-            if not finite:
-                # a conversion or flow can carry a value past the float range; flow amounts may be nan
-                raise DomainViolation(
-                    f"values.{group}[{key!r}].{name}: {value!r} is not a finite number"
-                )
-            fields.append(f"{_string(name)}: {text}")
-        items.append(f"{_string(key)}: {_container('{}', fields, 3)}")
+                texts.append(_value_json(group, key, name, value))
+        names = tuple(entry)
+        template = templates.get(names)
+        if template is None:
+            fields = [_string(name).replace("%", "%%") + ": %s" for name in names]
+            template = templates[names] = "%s: " + _container("{}", fields, 3)
+        items.append(template % (_string(key), *texts))
     return _container("{}", items, 2)
 
 

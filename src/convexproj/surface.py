@@ -109,6 +109,21 @@ class PantsDecomposition:
         return [self.slots[(pants_key, k)] for k in range(3)]
 
 
+_SLOT_INDICES = (0, 1, 2)
+
+
+def _all_slots(pants) -> set[Slot]:
+    return {(p, k) for p in pants for k in _SLOT_INDICES}
+
+
+def _refuse_slot(slot, slots: dict, pants, owner: str):
+    """Raise the error that claiming ``slot`` meets, if any: unknown, then reused."""
+    if slot not in _all_slots(pants):
+        raise CountMismatch(f"{owner} references unknown slot {slot!r}")
+    if slot in slots:
+        raise SlotReuse(f"slot {slot!r} is used more than once ({owner})")
+
+
 def build_decomposition(pants, gluings, boundaries) -> PantsDecomposition:
     """Validate the combinatorics and derive (genus, boundary count).
 
@@ -121,7 +136,8 @@ def build_decomposition(pants, gluings, boundaries) -> PantsDecomposition:
     pants = tuple(pants)
     gluings = tuple(gluings)
     boundaries = tuple(boundaries)
-    if len(set(pants)) != len(pants):
+    known = set(pants)
+    if len(known) != len(pants):
         raise CountMismatch("pants keys must be unique")
     if not pants:
         raise NonNegativeEuler("a decomposition needs at least one pair of pants")
@@ -129,24 +145,29 @@ def build_decomposition(pants, gluings, boundaries) -> PantsDecomposition:
     if len(set(names)) != len(names):
         raise CountMismatch("curve keys must be unique")
     slots: dict[Slot, tuple[str, str]] = {}
-    valid = {(p, k) for p in pants for k in range(3)}
-
-    def claim(slot: Slot, owner: str, curve: str, role: str):
-        if slot not in valid:
-            raise CountMismatch(f"{owner} references unknown slot {slot!r}")
-        if slot in slots:
-            raise SlotReuse(f"slot {slot!r} is used more than once ({owner})")
-        slots[slot] = (curve, role)
-
+    # A slot is claimed when it equals an unclaimed (pants key, 0..2) pair.  The
+    # test below accepts exactly the 2-tuples that do; _refuse_slot settles
+    # everything else (other sequences, tuple subclasses) with the full check.
     for g in gluings:
-        if g.plus == g.minus:
-            raise SlotReuse(f"gluing {g.curve!r} pairs slot {g.plus!r} with itself")
-        claim(g.plus, f"gluing {g.curve!r}", g.curve, "plus")
-        claim(g.minus, f"gluing {g.curve!r}", g.curve, "minus")
+        plus, minus = g.plus, g.minus
+        if plus == minus:
+            raise SlotReuse(f"gluing {g.curve!r} pairs slot {plus!r} with itself")
+        if (plus in slots or type(plus) is not tuple or len(plus) != 2
+                or plus[1] not in _SLOT_INDICES or plus[0] not in known):
+            _refuse_slot(plus, slots, pants, f"gluing {g.curve!r}")
+        slots[plus] = (g.curve, "plus")
+        if (minus in slots or type(minus) is not tuple or len(minus) != 2
+                or minus[1] not in _SLOT_INDICES or minus[0] not in known):
+            _refuse_slot(minus, slots, pants, f"gluing {g.curve!r}")
+        slots[minus] = (g.curve, "minus")
     for b in boundaries:
-        claim(b.slot, f"boundary {b.curve!r}", b.curve, "boundary")
+        slot = b.slot
+        if (slot in slots or type(slot) is not tuple or len(slot) != 2
+                or slot[1] not in _SLOT_INDICES or slot[0] not in known):
+            _refuse_slot(slot, slots, pants, f"boundary {b.curve!r}")
+        slots[slot] = (b.curve, "boundary")
     if len(slots) != 3 * len(pants):
-        missing = sorted(valid - slots.keys())
+        missing = sorted(_all_slots(pants) - slots.keys())
         raise CountMismatch(f"unused slots: {missing!r}")
     neighbours: dict[str, list[str]] = {p: [] for p in pants}
     for g in gluings:

@@ -87,6 +87,39 @@ class TestConvert:
             (SAMPLES / "pants_goldman.json").read_text()
         )
 
+    @pytest.mark.parametrize(
+        "sample, path, value, message",
+        [
+            ("torus_goldman.json", ("curves", "c1", "tau"), 0.5,
+             "values.curves['c1']: tau=0.5 is not above the lower bound"),
+            ("pants_bd.json", ("pants", "P0", "sigma1"), [5, 5, 5],
+             "pants 'P0': ell1(A1) = -4.19528104378295 is not positive"),
+            # converts, but the converted values overflow when written
+            ("torus_goldman.json", ("curves", "c1", "v"), 1.7976931348623157e308,
+             "values.curves['c1'].sigma1_C: -inf is not a finite number"),
+        ],
+    )
+    def test_identity_conversion_refuses_what_conversion_refuses(
+        self, tmp_path, sample, path, value, message
+    ):
+        data = json.loads((SAMPLES / sample).read_text())
+        entry = data["values"]
+        for key in path[:-1]:
+            entry = entry[key]
+        entry[path[-1]] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        outcomes = []
+        for system in ("goldman", "bd"):
+            out = tmp_path / f"{system}.json"
+            code, err = run_main("convert", bad, "--to", system, out)
+            assert not out.exists()
+            outcomes.append((code, err))
+        assert outcomes[0] == outcomes[1]
+        code, err = outcomes[0]
+        assert code == 3
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
 
 def set_pants_value(name, value):
     def mutator(text):
@@ -216,14 +249,24 @@ def number_paths(node, path=()):
     return [path] if isinstance(node, float) else []
 
 
+def node_paths(node, path):
+    """Key paths to ``node`` (at ``path``) and to every node below it."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    return [path] + [found for key, child in items for found in node_paths(child, path + (key,))]
+
+
 EXTREME_FLOATS = st.sampled_from(
     [0.0, -0.0, 5e-324, 1e-300, 1e-30, 1.0, 2.0, 1e30, 1e300, -1e300, 1.7976931348623157e308]
 ) | st.floats(allow_nan=False, allow_infinity=False)
+# small JSON values of every kind, a slot among them, put in place of any node
+REPLACEMENTS = st.sampled_from([None, True, 0, 2, 1.0, "x", [], {}, ["P0", 1]]).map(copy.deepcopy)
 
 
 @st.composite
 def mutated_documents(draw):
-    """A sample document with one to four of its values set to extreme floats."""
+    """A sample document with one to four of its values set to extreme floats,
+    then up to two nodes of its ``surface`` or ``values`` replaced by a small
+    JSON value or deleted."""
     document = copy.deepcopy(SAMPLE_DOCUMENTS[draw(st.sampled_from(sorted(SAMPLE_DOCUMENTS)))])
     values = document["values"]
     for path in draw(st.lists(st.sampled_from(number_paths(values)), min_size=1, max_size=4)):
@@ -231,6 +274,21 @@ def mutated_documents(draw):
         for key in path[:-1]:
             node = node[key]
         node[path[-1]] = draw(EXTREME_FLOATS)
+    for _ in range(draw(st.integers(0, 2))):
+        nodes = [
+            found for section in ("surface", "values") if section in document
+            for found in node_paths(document[section], (section,))
+        ]
+        if not nodes:
+            break
+        path = draw(st.sampled_from(nodes))
+        node = document
+        for key in path[:-1]:
+            node = node[key]
+        if draw(st.booleans()):
+            del node[path[-1]]
+        else:
+            node[path[-1]] = draw(REPLACEMENTS)
     return document
 
 
@@ -255,6 +313,11 @@ def test_fuzzed_documents_end_in_an_exit_code(tmp_path_factory, document):
         ("convert", source, "--to", "bd", bd),
         ("convert", source, "--to", "goldman", work / "goldman.json"),
         ("convert", bd, "--to", "goldman", work / "back.json"),
+        ("oracle", source, "--monodromy"),
+        ("oracle", bd, "--monodromy"),
+        ("flow", source, "--curve", "c1", "--twist", "0.25", "--bulge", "-0.5", work / "flow.json"),
+        ("render", source, "--pants", "P0", work / "render.svg"),
+        ("render", bd, "--pants", "P0", work / "render.svg"),
     ]:
         code, err = run_main(*argv)
         assert code in range(6), argv

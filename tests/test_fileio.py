@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 from dataclasses import replace
@@ -9,7 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convexproj import fileio
-from convexproj.errors import DomainViolation, SchemaError, WindowViolation
+from convexproj.errors import (
+    CoordinateError,
+    CountMismatch,
+    DomainViolation,
+    NonNegativeEuler,
+    SchemaError,
+    SlotReuse,
+    WindowViolation,
+)
 from convexproj.sampling import random_surface_goldman
 from convexproj.surface import (
     BoundarySlot,
@@ -201,6 +210,276 @@ class TestSchemaErrors:
             fileio.load_file(tmp_path / "absent.json")
 
 
+DELETE = object()
+GOLDEN = Path(__file__).resolve().parent / "golden"
+BASES = {
+    "torus": json.loads((SAMPLES / "torus_goldman.json").read_text()),
+    "genus2": json.loads((SAMPLES / "genus2_goldman.json").read_text()),
+    "torus_bd": json.loads((GOLDEN / "torus_goldman.convert-bd.out").read_text()),
+}
+
+
+def edited(base: str, changes) -> str:
+    """A base document with each (key path, value) change applied; DELETE removes the key.
+
+    The strings "<NaN>" and "<1e400>" become those bare literals in the text."""
+    if base == "text":
+        return changes
+    document = copy.deepcopy(BASES[base])
+    for path, value in changes:
+        node = document
+        for key in path[:-1]:
+            node = node[key]
+        if value is DELETE:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+    return json.dumps(document).replace('"<NaN>"', "NaN").replace('"<1e400>"', "1e400")
+
+
+# One malformed document per check of the decoder and of build_decomposition,
+# then documents with two faults, where the fault checked first is reported.
+DECODER_MESSAGES = [
+    ("invalid_json", "text", "{not json",
+     SchemaError,
+     "invalid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ("nan_constant", "torus", [(("values", "pants", "P0", "s"), "<NaN>")],
+     SchemaError, "non-finite number 'NaN' is not allowed"),
+    ("duplicate_key", "text", '{"a": 1, "b": [{"x": 1, "x": 2}], "a": 3}',
+     SchemaError, "duplicate keys ['x'] in one object"),
+    ("top_not_object", "text", "[1, 2]",
+     SchemaError, "$: expected an object, got list"),
+    ("top_unknown_field", "torus", [(("extra",), 1)],
+     SchemaError, "$: unknown fields ['extra']"),
+    ("top_missing_field", "torus", [(("system",), DELETE)],
+     SchemaError, "$: missing fields ['system']"),
+    ("schema_version", "torus", [(("schema_version",), 1)],
+     SchemaError, "schema_version: expected '1', got 1"),
+    ("system", "torus", [(("system",), "fock")],
+     SchemaError, "system: expected 'goldman' or 'bd', got 'fock'"),
+    ("surface_not_object", "torus", [(("surface",), [])],
+     SchemaError, "surface: expected an object, got list"),
+    ("pants_not_list", "torus", [(("surface", "pants"), "P0")],
+     SchemaError, "surface.pants: expected a list of pants keys"),
+    ("pants_key_not_string", "torus", [(("surface", "pants"), ["P0", 1])],
+     SchemaError, "surface.pants: expected a list of pants keys"),
+    ("gluings_not_list", "torus", [(("surface", "gluings"), {})],
+     SchemaError, "surface.gluings: expected a list"),
+    ("gluing_not_object", "torus", [(("surface", "gluings", 0), ["c1"])],
+     SchemaError, "surface.gluings[0]: expected an object, got list"),
+    ("gluing_missing_field", "torus", [(("surface", "gluings", 0, "arc"), DELETE)],
+     SchemaError, "surface.gluings[0]: missing fields ['arc']"),
+    ("gluing_unknown_field", "torus", [(("surface", "gluings", 0, "twist"), 0)],
+     SchemaError, "surface.gluings[0]: unknown fields ['twist']"),
+    ("gluing_curve_not_string", "torus", [(("surface", "gluings", 0, "curve"), 1)],
+     SchemaError, "surface.gluings[0]: curve key must be a string"),
+    ("arc_not_object", "torus", [(("surface", "gluings", 0, "arc"), [2, 3])],
+     SchemaError, "surface.gluings[0].arc: expected an object, got list"),
+    ("arc_missing_field", "torus", [(("surface", "gluings", 0, "arc", "right"), DELETE)],
+     SchemaError, "surface.gluings[0].arc: missing fields ['right']"),
+    ("arc_true", "torus", [(("surface", "gluings", 0, "arc", "left"), True)],
+     SchemaError, "surface.gluings[0].arc: arc leaf index left must be 1, 2 or 3, got True"),
+    ("arc_float", "torus", [(("surface", "gluings", 0, "arc", "left"), 2.0)],
+     SchemaError, "surface.gluings[0].arc: arc leaf index left must be 1, 2 or 3, got 2.0"),
+    ("arc_four", "torus", [(("surface", "gluings", 0, "arc", "right"), 4)],
+     SchemaError, "surface.gluings[0].arc: arc leaf index right must be 1, 2 or 3, got 4"),
+    ("arc_zero", "torus", [(("surface", "gluings", 0, "arc", "right"), 0)],
+     SchemaError, "surface.gluings[0].arc: arc leaf index right must be 1, 2 or 3, got 0"),
+    ("arc_string", "torus", [(("surface", "gluings", 0, "arc", "left"), "2")],
+     SchemaError, "surface.gluings[0].arc: arc leaf index left must be 1, 2 or 3, got '2'"),
+    ("slot_true", "torus", [(("surface", "gluings", 0, "plus"), ["P0", True])],
+     SchemaError, "surface.gluings[0].plus: expected [pants, slot 0..2], got ['P0', True]"),
+    ("slot_float", "torus", [(("surface", "gluings", 0, "minus"), ["P0", 1.0])],
+     SchemaError, "surface.gluings[0].minus: expected [pants, slot 0..2], got ['P0', 1.0]"),
+    ("slot_short", "torus", [(("surface", "gluings", 0, "plus"), ["P0"])],
+     SchemaError, "surface.gluings[0].plus: expected [pants, slot 0..2], got ['P0']"),
+    ("slot_three", "torus", [(("surface", "gluings", 0, "plus"), ["P0", 0, 0])],
+     SchemaError, "surface.gluings[0].plus: expected [pants, slot 0..2], got ['P0', 0, 0]"),
+    ("slot_index", "torus", [(("surface", "gluings", 0, "plus"), ["P0", 3])],
+     SchemaError, "surface.gluings[0].plus: expected [pants, slot 0..2], got ['P0', 3]"),
+    ("slot_negative", "torus", [(("surface", "gluings", 0, "minus"), ["P0", -1])],
+     SchemaError, "surface.gluings[0].minus: expected [pants, slot 0..2], got ['P0', -1]"),
+    ("slot_pants_not_string", "torus", [(("surface", "gluings", 0, "plus"), [0, 0])],
+     SchemaError, "surface.gluings[0].plus: expected [pants, slot 0..2], got [0, 0]"),
+    ("slot_not_list", "torus", [(("surface", "gluings", 0, "plus"), "P0")],
+     SchemaError, "surface.gluings[0].plus: expected [pants, slot 0..2], got 'P0'"),
+    ("boundaries_not_list", "torus", [(("surface", "boundaries"), None)],
+     SchemaError, "surface.boundaries: expected a list"),
+    ("boundary_not_object", "torus", [(("surface", "boundaries", 0), "a1")],
+     SchemaError, "surface.boundaries[0]: expected an object, got str"),
+    ("boundary_unknown_field", "torus", [(("surface", "boundaries", 0, "arc"), {})],
+     SchemaError, "surface.boundaries[0]: unknown fields ['arc']"),
+    ("boundary_curve_not_string", "torus", [(("surface", "boundaries", 0, "curve"), None)],
+     SchemaError, "surface.boundaries[0]: curve key must be a string"),
+    ("boundary_slot_float", "torus", [(("surface", "boundaries", 0, "slot"), ["P0", 2.0])],
+     SchemaError, "surface.boundaries[0].slot: expected [pants, slot 0..2], got ['P0', 2.0]"),
+    ("no_pants", "torus", [(("surface", "pants"), [])],
+     NonNegativeEuler, "a decomposition needs at least one pair of pants"),
+    ("repeated_pants", "torus", [(("surface", "pants"), ["P0", "P0"])],
+     CountMismatch, "pants keys must be unique"),
+    ("repeated_curve", "torus", [(("surface", "boundaries", 0, "curve"), "c1")],
+     CountMismatch, "curve keys must be unique"),
+    ("self_glued", "torus", [(("surface", "gluings", 0, "minus"), ["P0", 0])],
+     SlotReuse, "gluing 'c1' pairs slot ('P0', 0) with itself"),
+    ("unknown_slot_pants", "torus", [(("surface", "gluings", 0, "minus"), ["Q0", 1])],
+     CountMismatch, "gluing 'c1' references unknown slot ('Q0', 1)"),
+    ("unknown_boundary_slot", "torus", [(("surface", "boundaries", 0, "slot"), ["Q0", 2])],
+     CountMismatch, "boundary 'a1' references unknown slot ('Q0', 2)"),
+    ("reused_slot", "torus", [(("surface", "boundaries", 0, "slot"), ["P0", 1])],
+     SlotReuse, "slot ('P0', 1) is used more than once (boundary 'a1')"),
+    ("unused_slot", "torus", [(("surface", "boundaries"), [])],
+     CountMismatch, "unused slots: [('P0', 2)]"),
+    ("disconnected", "torus", [
+        (("surface", "pants"), ["P0", "Q0"]),
+        (("surface", "boundaries"), [{"curve": "a1", "slot": ["P0", 2]}]
+         + [{"curve": f"b{k}", "slot": ["Q0", k]} for k in range(3)])],
+     CountMismatch, "the surface is not connected: no gluings lead from 'P0' to pants ['Q0']"),
+    ("values_not_object", "torus", [(("values",), [])],
+     SchemaError, "values: expected an object, got list"),
+    ("values_missing_field", "torus", [(("values", "pants"), DELETE)],
+     SchemaError, "values: missing fields ['pants']"),
+    ("curves_not_object", "torus", [(("values", "curves"), [])],
+     SchemaError, "values.curves: expected an object keyed by curve"),
+    ("unknown_curve", "torus", [(("values", "curves", "zz"), {"lambda": 0.2, "tau": 6.0})],
+     SchemaError, "values.curves['zz']: curve does not exist in the surface"),
+    ("missing_curve", "torus", [(("values", "curves", "a1"), DELETE)],
+     SchemaError, "values.curves: missing entries for curves ['a1']"),
+    ("curve_entry_not_object", "torus", [(("values", "curves", "c1"), 0.2)],
+     SchemaError, "values.curves['c1']: expected an object, got float"),
+    ("curve_entry_missing_field", "torus", [(("values", "curves", "c1", "v"), DELETE)],
+     SchemaError, "values.curves['c1']: missing fields ['v']"),
+    ("boundary_entry_extra_field", "torus", [(("values", "curves", "a1", "u"), 0.0)],
+     SchemaError, "values.curves['a1']: unknown fields ['u']"),
+    ("number_string", "torus", [(("values", "pants", "P0", "s"), "1.0")],
+     SchemaError, "values.pants['P0'].s: expected a number, got '1.0'"),
+    ("number_true", "torus", [(("values", "curves", "c1", "u"), True)],
+     SchemaError, "values.curves['c1'].u: expected a number, got True"),
+    ("number_null", "torus", [(("values", "curves", "a1", "tau"), None)],
+     SchemaError, "values.curves['a1'].tau: expected a number, got None"),
+    ("number_huge_int", "torus", [(("values", "pants", "P0", "t"), 10**400)],
+     SchemaError, "values.pants['P0'].t: number is too large for a float"),
+    ("number_overflowing_literal", "torus", [(("values", "curves", "c1", "lambda"), "<1e400>")],
+     SchemaError, "values.curves['c1'].lambda: number must be finite"),
+    ("pants_not_object", "torus", [(("values", "pants"), ["P0"])],
+     SchemaError, "values.pants: expected an object keyed by pants"),
+    ("unknown_pants", "torus", [(("values", "pants", "Q0"), {"s": 1.0, "t": 2.0})],
+     SchemaError, "values.pants['Q0']: pants does not exist in the surface"),
+    ("missing_pants", "torus", [(("values", "pants", "P0"), DELETE)],
+     SchemaError, "values.pants: missing entries for pants ['P0']"),
+    ("pants_entry_unknown_field", "torus", [(("values", "pants", "P0", "r"), 1.0)],
+     SchemaError, "values.pants['P0']: unknown fields ['r']"),
+    ("bd_boundary_curve_value", "torus_bd", [
+        (("values", "curves", "a1"), {"sigma1_C": 0.0, "sigma2_C": 0.0})],
+     SchemaError, "values.curves['a1']: bd files carry values for internal curves only"),
+    ("bd_missing_curve", "torus_bd", [(("values", "curves", "c1"), DELETE)],
+     SchemaError, "values.curves: missing entries for curves ['c1']"),
+    ("bd_sigma_of_two", "torus_bd", [(("values", "pants", "P0", "sigma1"), [0.5, 0.5])],
+     SchemaError, "values.pants['P0'].sigma1: expected a list of three numbers"),
+    ("bd_sigma_not_list", "torus_bd", [(("values", "pants", "P0", "sigma2"), 0.5)],
+     SchemaError, "values.pants['P0'].sigma2: expected a list of three numbers"),
+    ("bd_sigma_entry_string", "torus_bd", [(("values", "pants", "P0", "sigma2", 2), "x")],
+     SchemaError, "values.pants['P0'].sigma2[2]: expected a number, got 'x'"),
+    ("bd_sigma_entry_huge", "torus_bd", [(("values", "pants", "P0", "sigma1", 1), 10**400)],
+     SchemaError, "values.pants['P0'].sigma1[1]: number is too large for a float"),
+    ("bd_tau_true", "torus_bd", [(("values", "pants", "P0", "tau_minus"), True)],
+     SchemaError, "values.pants['P0'].tau_minus: expected a number, got True"),
+    ("bd_shear_string", "torus_bd", [(("values", "curves", "c1", "sigma2_C"), "0")],
+     SchemaError, "values.curves['c1'].sigma2_C: expected a number, got '0'"),
+    ("bd_goldman_fields", "torus_bd", [(("values", "pants", "P0"), {"s": 1.0, "t": 2.0})],
+     SchemaError, "values.pants['P0']: unknown fields ['s', 't']"),
+    ("two_curve_and_arc", "torus", [
+        (("surface", "gluings", 0, "curve"), 7),
+        (("surface", "gluings", 0, "arc", "left"), 9)],
+     SchemaError, "surface.gluings[0]: curve key must be a string"),
+    ("two_plus_and_minus", "torus", [
+        (("surface", "gluings", 0, "minus"), ["P0", 5]),
+        (("surface", "gluings", 0, "plus"), ["P0", True])],
+     SchemaError, "surface.gluings[0].plus: expected [pants, slot 0..2], got ['P0', True]"),
+    ("two_arc_and_slot", "torus", [
+        (("surface", "gluings", 0, "plus"), ["P0"]),
+        (("surface", "gluings", 0, "arc", "right"), 2.0)],
+     SchemaError, "surface.gluings[0].arc: arc leaf index right must be 1, 2 or 3, got 2.0"),
+    ("two_surface_and_values", "torus", [
+        (("values", "pants", "P0", "s"), "x"),
+        (("surface", "boundaries", 0, "slot"), ["P0", 7])],
+     SchemaError, "surface.boundaries[0].slot: expected [pants, slot 0..2], got ['P0', 7]"),
+    ("two_field_order", "torus", [(("values", "curves", "a1"), {"tau": "x", "lambda": None})],
+     SchemaError, "values.curves['a1'].lambda: expected a number, got None"),
+    ("two_entry_order", "torus", [
+        (("values", "curves"), {"a1": {"lambda": True, "tau": 6.0},
+                                "zz": {"lambda": 0.2, "tau": 6.0}})],
+     SchemaError, "values.curves['a1'].lambda: expected a number, got True"),
+    ("two_missing_curve_and_bad_pants", "torus", [
+        (("values", "curves", "c1"), DELETE),
+        (("values", "pants", "P0", "s"), "x")],
+     SchemaError, "values.curves: missing entries for curves ['c1']"),
+    ("two_reuse_then_unknown", "genus2", [
+        (("surface", "gluings", 1, "plus"), ["P0", 0]),
+        (("surface", "gluings", 2, "minus"), ["Q9", 2])],
+     SlotReuse, "slot ('P0', 0) is used more than once (gluing 'c2')"),
+    ("two_unknown_then_reuse", "genus2", [
+        (("surface", "gluings", 1, "minus"), ["Q9", 1]),
+        (("surface", "gluings", 2, "plus"), ["P0", 0])],
+     CountMismatch, "gluing 'c2' references unknown slot ('Q9', 1)"),
+    ("two_pants_and_curves", "torus", [
+        (("surface", "pants"), ["P0", "P0"]),
+        (("surface", "boundaries", 0, "curve"), "c1")],
+     CountMismatch, "pants keys must be unique"),
+    ("two_unused_and_disconnected", "genus2", [(("surface", "gluings"), [])],
+     CountMismatch,
+     "unused slots: [('P0', 0), ('P0', 1), ('P0', 2), ('P1', 0), ('P1', 1), ('P1', 2)]"),
+    ("two_sigma_then_tau", "torus_bd", [
+        (("values", "pants", "P0", "tau_plus"), "x"),
+        (("values", "pants", "P0", "sigma2"), [1.0, 2.0])],
+     SchemaError, "values.pants['P0'].sigma2: expected a list of three numbers"),
+]
+
+
+class TestDecoderMessages:
+    @pytest.mark.parametrize(
+        "base, changes, error, message",
+        [pytest.param(*case[1:], id=case[0]) for case in DECODER_MESSAGES],
+    )
+    def test_message(self, base, changes, error, message):
+        with pytest.raises(CoordinateError) as raised:
+            fileio.loads(edited(base, changes))
+        assert type(raised.value) is error
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize(
+        "gluings, boundaries, error, message",
+        [
+            pytest.param([Gluing("c1", ("P0", 0), ("P0", 1))], [BoundarySlot("a1", ("P0",))],
+                         CountMismatch, "boundary 'a1' references unknown slot ('P0',)",
+                         id="short_slot"),
+            pytest.param([Gluing("c1", "P0", ("P0", 1))], [BoundarySlot("a1", ("P0", 2))],
+                         CountMismatch, "gluing 'c1' references unknown slot 'P0'",
+                         id="string_slot"),
+            pytest.param([Gluing("c1", ("P0", 0), ("P0", 3))], [BoundarySlot("a1", ("P0", 2))],
+                         CountMismatch, "gluing 'c1' references unknown slot ('P0', 3)",
+                         id="index_three"),
+            pytest.param([Gluing("c1", ("P0", 0), ("P0", 1))], [BoundarySlot("a1", ("P0", False))],
+                         SlotReuse, "slot ('P0', False) is used more than once (boundary 'a1')",
+                         id="equal_slot_reused"),
+            pytest.param([Gluing("c1", ("P0", 0), ("P0", 0.0))], [BoundarySlot("a1", ("P0", 2))],
+                         SlotReuse, "gluing 'c1' pairs slot ('P0', 0) with itself",
+                         id="equal_slot_self_glued"),
+            pytest.param([Gluing("c1", ("P0", 0), ("P0", 1)), Gluing("c2", ("P0", 1), ("Q", 1))],
+                         [], SlotReuse, "slot ('P0', 1) is used more than once (gluing 'c2')",
+                         id="plus_reused_before_minus_unknown"),
+            pytest.param([Gluing("c1", ("P0", 0), ("P0", 1.0))], [],
+                         CountMismatch, "unused slots: [('P0', 2)]",
+                         id="float_index_claims_its_slot"),
+        ],
+    )
+    def test_direct_build_decomposition_message(self, gluings, boundaries, error, message):
+        # direct callers are not held to the file's types: any slot equal to a valid one claims it
+        with pytest.raises(CoordinateError) as raised:
+            build_decomposition(["P0"], gluings, boundaries)
+        assert type(raised.value) is error
+        assert str(raised.value) == message
+
+
 class TestPrecision:
     def test_seventeen_digit_round_trip(self, tmp_path):
         # shortest round-trip decimals reparse to the identical float
@@ -297,11 +576,12 @@ def reference_dumps(cf: fileio.CoordinateFile) -> str:
     return json.dumps(document, indent=2, allow_nan=False) + "\n"
 
 
-# one decomposition with no gluings, one with both kinds of curve, one closed
+# one decomposition with no gluings, one with both kinds of curve, one closed,
+# and one with many entries of each layout
 SHAPES = [
     fileio.load_file(SAMPLES / name).decomposition
     for name in ("pants_goldman.json", "torus_goldman.json", "genus2_goldman.json")
-]
+] + [ring_chain(20)]
 # quotes, backslashes, control characters, non-ASCII and astral characters
 KEYS = st.text(st.sampled_from('P0"\\/\n\x00\x7f\u00e9\u2603\U0001d11e') | st.characters(), max_size=6)
 NUMBERS = (
