@@ -6,8 +6,6 @@ flow-target errors 4 and chart errors 5.  `located` is the one place an
 error gains the location (pants key, JSON path) it was raised under.
 """
 
-from contextlib import contextmanager
-
 
 class CoordinateError(Exception):
     """Base class for every error raised by this package."""
@@ -15,13 +13,21 @@ class CoordinateError(Exception):
     exit_code = 3
 
 
-@contextmanager
-def located(where: str):
+class located:
     """Re-raise a CoordinateError from the block with the prefix ``where: ``."""
-    try:
-        yield
-    except CoordinateError as err:
-        raise type(err)(f"{where}: {err}") from err
+
+    __slots__ = ("where",)
+
+    def __init__(self, where: str):
+        self.where = where
+
+    def __enter__(self):
+        return None
+
+    def __exit__(self, kind, err, traceback):
+        if isinstance(err, CoordinateError):
+            raise type(err)(f"{self.where}: {err}") from err
+        return False
 
 
 class WindowViolation(CoordinateError):

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -59,6 +58,8 @@ def _floats(v) -> tuple[float, float, float]:
     """
     if (type(v) is tuple or type(v) is list) and len(v) == 3:
         x, y, z = v
+        if type(x) is type(y) is type(z) is float:
+            return (x, y, z)
         if {type(x), type(y), type(z)} <= _EXACT_SCALARS:
             return (float(x), float(y), float(z))
     return tuple(np.asarray(v, dtype=float).reshape(3).tolist())
@@ -157,6 +158,12 @@ def _pairing(line, point, what: str) -> float:
     return value
 
 
+def _underflowed(ratio: float) -> bool:
+    """A ratio of nonzero finite pairings that reads +0.0 is positive but
+    below the float range; -0.0 is a negative ratio that underflowed."""
+    return ratio == 0.0 and math.copysign(1.0, ratio) > 0.0
+
+
 def triple_ratio_log(f1: Flag, f2: Flag, f3: Flag) -> float:
     """Logarithm of the triple ratio of three flags.
 
@@ -165,19 +172,29 @@ def triple_ratio_log(f1: Flag, f2: Flag, f3: Flag) -> float:
     invariant under rescaling each flag and under volume-preserving linear
     changes of coordinates, and is cyclically invariant.
     """
-    ratio = (
-        _pairing(f1._line, f2._point, "l1.p2")
-        / _pairing(f3._line, f2._point, "l3.p2")
-        * _pairing(f3._line, f1._point, "l3.p1")
-        / _pairing(f2._line, f1._point, "l2.p1")
-        * _pairing(f2._line, f3._point, "l2.p3")
-        / _pairing(f1._line, f3._point, "l1.p3")
-    )
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = f1._line, f2._line, f3._line
+    (p0, p1, p2), (q0, q1, q2), (r0, r1, r2) = f1._point, f2._point, f3._point
+    l1p2 = a0 * q0 + a1 * q1 + a2 * q2
+    l3p2 = c0 * q0 + c1 * q1 + c2 * q2
+    l3p1 = c0 * p0 + c1 * p1 + c2 * p2
+    l2p1 = b0 * p0 + b1 * p1 + b2 * p2
+    l2p3 = b0 * r0 + b1 * r1 + b2 * r2
+    l1p3 = a0 * r0 + a1 * r1 + a2 * r2
+    # the product is nonzero and finite only if every pairing is; otherwise
+    # _pairing names the first pairing, in this order, that is zero or overflows
+    if not 0.0 < abs(l1p2 * l3p2 * l3p1 * l2p1 * l2p3 * l1p3) < math.inf:
+        for line, point, what in ((f1._line, f2._point, "l1.p2"), (f3._line, f2._point, "l3.p2"),
+                                  (f3._line, f1._point, "l3.p1"), (f2._line, f1._point, "l2.p1"),
+                                  (f2._line, f3._point, "l2.p3"), (f1._line, f3._point, "l1.p3")):
+            _pairing(line, point, what)
+    ratio = l1p2 / l3p2 * l3p1 / l2p1 * l2p3 / l1p3
+    if 0.0 < ratio < math.inf:
+        return math.log(ratio)
+    if _underflowed(ratio):
+        raise DegenerateConfiguration("triple ratio underflows a float")
     if not ratio > 0.0:
         raise NonPositiveRatio(f"triple ratio must be positive, got {ratio!r}")
-    if ratio == math.inf:
-        raise DegenerateConfiguration("triple ratio overflows a float")
-    return math.log(ratio)
+    raise DegenerateConfiguration("triple ratio overflows a float")
 
 
 def shear_logs(fpos: Flag, fneg: Flag, fup: Flag, fdown_point: ProjPoint) -> tuple[float, float]:
@@ -189,23 +206,35 @@ def shear_logs(fpos: Flag, fneg: Flag, fup: Flag, fdown_point: ProjPoint) -> tup
     point enters).  Returns (sigma1, sigma2).
     """
     down = fdown_point._triple
+    up = fup._point
     shared = _cross(fpos._point, fneg._point)
-    d_up = _pairing(shared, fup._point, "pos^neg^up")
-    d_down = _pairing(shared, down, "pos^neg^down")
-    ratio1 = -(d_up / d_down) * (
-        _pairing(fneg._line, down, "lneg.down") / _pairing(fneg._line, fup._point, "lneg.up")
-    )
-    ratio2 = -(d_down / d_up) * (
-        _pairing(fpos._line, fup._point, "lpos.up") / _pairing(fpos._line, down, "lpos.down")
-    )
-    if not ratio1 > 0.0 or not ratio2 > 0.0:
+    (w0, w1, w2), (u0, u1, u2), (d0, d1, d2) = shared, up, down
+    (n0, n1, n2), (m0, m1, m2) = fneg._line, fpos._line
+    d_up = w0 * u0 + w1 * u1 + w2 * u2
+    d_down = w0 * d0 + w1 * d1 + w2 * d2
+    neg_down = n0 * d0 + n1 * d1 + n2 * d2
+    neg_up = n0 * u0 + n1 * u1 + n2 * u2
+    pos_up = m0 * u0 + m1 * u1 + m2 * u2
+    pos_down = m0 * d0 + m1 * d1 + m2 * d2
+    # as in triple_ratio_log: _pairing names a zero or overflowing pairing
+    if not 0.0 < abs(d_up * d_down * neg_down * neg_up * pos_up * pos_down) < math.inf:
+        for line, point, what in ((shared, up, "pos^neg^up"), (shared, down, "pos^neg^down"),
+                                  (fneg._line, down, "lneg.down"), (fneg._line, up, "lneg.up"),
+                                  (fpos._line, up, "lpos.up"), (fpos._line, down, "lpos.down")):
+            _pairing(line, point, what)
+    ratio1 = -(d_up / d_down) * (neg_down / neg_up)
+    ratio2 = -(d_down / d_up) * (pos_up / pos_down)
+    if 0.0 < ratio1 < math.inf and 0.0 < ratio2 < math.inf:
+        return (math.log(ratio1), math.log(ratio2))
+    if not (ratio1 > 0.0 or _underflowed(ratio1)) or not (ratio2 > 0.0 or _underflowed(ratio2)):
         raise NonPositiveRatio(
             f"shear ratios must be positive, got ({ratio1!r}, {ratio2!r})"
         )
     for name, ratio in (("sigma1", ratio1), ("sigma2", ratio2)):
+        if ratio == 0.0:
+            raise DegenerateConfiguration(f"shear ratio {name} underflows a float")
         if ratio == math.inf:
             raise DegenerateConfiguration(f"shear ratio {name} overflows a float")
-    return (math.log(ratio1), math.log(ratio2))
 
 
 # The inner ideal triangle: the coordinate points [1,0,0], [0,1,0], [0,0,1].
@@ -217,7 +246,8 @@ class PantsFlagConfig:
     """The normalized flag configuration of a pair of pants.
 
     Positivity constraints keep every logarithm of the shear dictionary
-    defined: b1, c2, b3, a2 > 1, a3 > x and x*c1 > 1.
+    defined: b1, c2, b3, a2 > 1, a3 > x and x*c1 > 1.  Construction also
+    builds `inner_flags` and `outer_points`, which the oracle reads.
     """
 
     x: float
@@ -229,6 +259,29 @@ class PantsFlagConfig:
     c2: float
 
     def __post_init__(self):
+        x, a2, a3, b1, b3, c1, c2 = self.x, self.a2, self.a3, self.b1, self.b3, self.c1, self.c2
+        if not (type(x) is type(a2) is type(a3) is type(b1) is type(b3) is type(c1) is type(c2)
+                is float and 0.0 < x < math.inf and 1.0 < a2 < math.inf and x < a3 < math.inf
+                and 1.0 < b1 < math.inf and 1.0 < b3 < math.inf and 0.0 < c1 < math.inf
+                and 1.0 < c2 < math.inf and x * c1 > 1.0):
+            self._check_fields()
+        x = float(x)
+        meet13, meet12, _ = meets = ((1.0, -1.0, 1.0), (x, 1.0, -1.0), (-x, x, 1.0))
+        p1, p2, p3 = _INNER_POINTS
+        object.__setattr__(self, "_meets", meets)
+        object.__setattr__(self, "inner_flags", (
+            Flag(p1, _cross(p1, meet13)),
+            Flag(p2, _cross(p2, meet12)),
+            Flag(p3, _cross(p3, meet13)),
+        ))
+        object.__setattr__(self, "outer_points", (
+            ProjPoint((-1.0, b1, c1)),
+            ProjPoint((a2, -1.0, c2)),
+            ProjPoint((a3, b3, -1.0)),
+        ))
+
+    def _check_fields(self):
+        """Field by field: raise ValueError naming the first broken constraint."""
         for name in ("x", "a2", "a3", "b1", "b3", "c1", "c2"):
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
@@ -253,29 +306,6 @@ class PantsFlagConfig:
         """Pairwise meets of the inner flag planes: (1&3, 1&2, 2&3)."""
         return tuple(map(np.array, self._meets))
 
-    @cached_property
-    def _meets(self) -> tuple[tuple[float, float, float], ...]:
-        x = float(self.x)
-        return ((1.0, -1.0, 1.0), (x, 1.0, -1.0), (-x, x, 1.0))
-
-    @cached_property
-    def inner_flags(self) -> tuple[Flag, Flag, Flag]:
-        meet13, meet12, _ = self._meets
-        p1, p2, p3 = _INNER_POINTS
-        return (
-            Flag(p1, _cross(p1, meet13)),
-            Flag(p2, _cross(p2, meet12)),
-            Flag(p3, _cross(p3, meet13)),
-        )
-
-    @cached_property
-    def outer_points(self) -> tuple[ProjPoint, ProjPoint, ProjPoint]:
-        return (
-            ProjPoint((-1.0, self.b1, self.c1)),
-            ProjPoint((self.a2, -1.0, self.c2)),
-            ProjPoint((self.a3, self.b3, -1.0)),
-        )
-
 
 def config_from_fg(sigma1, sigma2, tau_plus: float) -> PantsFlagConfig:
     """Build the normalized configuration realizing the given invariants.
@@ -283,8 +313,8 @@ def config_from_fg(sigma1, sigma2, tau_plus: float) -> PantsFlagConfig:
     Raises DegenerateConfiguration when a coordinate overflows or rounds
     onto its positivity bound (e^-45 + 1 == 1.0), which valid data can do.
     """
-    s1 = tuple(float(v) for v in sigma1)
-    s2 = tuple(float(v) for v in sigma2)
+    s1 = tuple(map(float, sigma1))
+    s2 = tuple(map(float, sigma2))
     try:
         return PantsFlagConfig(
             x=math.exp(tau_plus),
@@ -344,8 +374,10 @@ def oracle_check(f: FGPants) -> OracleReport:
         res1.append(abs(s1 - f.sigma1[i]))
         res2.append(abs(s2 - f.sigma2[i]))
     tau_res = abs(triple_ratio_log(*flags) - f.tau_plus)
-    eigen = tuple(eigen_from_boundary(b) for b in g.boundary)
-    tau_sum_res = abs(f.tau_plus + f.tau_minus + sum(math.log(e.mu) for e in eigen))
+    eigen = tuple(map(eigen_from_boundary, g.boundary))
+    e1, e2, e3 = eigen
+    tau_sum_res = abs(f.tau_plus + f.tau_minus
+                      + sum((math.log(e1.mu), math.log(e2.mu), math.log(e3.mu))))
     all_res = (*res1, *res2, tau_res, tau_sum_res)
     return OracleReport(tuple(res1), tuple(res2), tau_res, tau_sum_res, max(all_res), c, eigen)
 

@@ -71,6 +71,10 @@ class GoldmanPants:
     t: float
 
     def __post_init__(self):
+        s, t = self.s, self.t
+        if (len(self.boundary) == 3 and type(s) is float and type(t) is float
+                and 0.0 < s < math.inf and 0.0 < t < math.inf):
+            return
         if len(self.boundary) != 3:
             raise ValueError("exactly three boundary invariants are required")
         for name in ("s", "t"):
@@ -95,6 +99,16 @@ class FGPants:
     tau_minus: float
 
     def __post_init__(self):
+        sigma1, sigma2 = self.sigma1, self.sigma2
+        if type(sigma1) is tuple and type(sigma2) is tuple and len(sigma1) == len(sigma2) == 3:
+            a1, b1, c1 = sigma1
+            a2, b2, c2 = sigma2
+            tau_plus, tau_minus = self.tau_plus, self.tau_minus
+            # a sum of floats is finite only when every term is
+            if (type(a1) is type(b1) is type(c1) is type(a2) is type(b2) is type(c2)
+                    is type(tau_plus) is type(tau_minus) is float
+                    and math.isfinite(a1 + b1 + c1 + a2 + b2 + c2 + tau_plus + tau_minus)):
+                return
         for name in ("sigma1", "sigma2"):
             values = getattr(self, name)
             if len(values) != 3 or not all(math.isfinite(v) for v in values):
@@ -138,6 +152,9 @@ def validate_fg_domain(f: FGPants) -> DomainCheck:
     return DomainCheck(lengths, tuple(failures))
 
 
+_TAU_NAMES = ("tau(A1)", "tau(A2)", "tau(A3)")
+
+
 def fg_to_goldman(f: FGPants) -> GoldmanPants:
     """Evaluate the closed-form map from shear/triangle data to Goldman data.
 
@@ -145,22 +162,27 @@ def fg_to_goldman(f: FGPants) -> GoldmanPants:
     WindowViolation when valid data far out (a shear of -800) puts a Goldman
     value beyond the float range: lambda underflows, or tau, s or t overflows.
     """
-    check = validate_fg_domain(f)
-    if not check:
-        raise DomainViolation("; ".join(check.failures))
+    sigma1, sigma2 = f.sigma1, f.sigma2
     total = f.tau_plus + f.tau_minus
+    # boundary_lengths written out, so that all six are tested before any exp
+    s10, s11, s12 = sigma1
+    s20, s21, s22 = sigma2
+    ell1 = (-s11 - s22, -s12 - s20, -s10 - s21)
+    if not (ell1[0] > 0 and ell1[1] > 0 and ell1[2] > 0 and -s21 - s12 - total > 0
+            and -s22 - s10 - total > 0 and -s20 - s11 - total > 0):
+        raise DomainViolation("; ".join(validate_fg_domain(f).failures))
     invariants = []
     for i in range(3):
-        a1 = f.sigma1[(i + 1) % 3]
-        a2 = f.sigma2[(i + 1) % 3]
-        b1 = f.sigma1[(i - 1) % 3]
-        b2 = f.sigma2[(i - 1) % 3]
+        a1 = sigma1[(i + 1) % 3]
+        a2 = sigma2[(i + 1) % 3]
+        b1 = sigma1[(i - 1) % 3]
+        b2 = sigma2[(i - 1) % 3]
         log_lam = (a1 + 2.0 * a2 + 2.0 * b1 + b2 + 2.0 * total) / 3.0
         log_mu = (a1 - a2 - b1 + b2 - total) / 3.0
         # tau = mu + nu = mu * (1 + e^ell1)
-        tau = _exp(log_mu + _log1pexp(check.lengths[i].ell1), f"tau(A{i + 1})", WindowViolation)
+        tau = _exp(log_mu + _log1pexp(ell1[i]), _TAU_NAMES[i], WindowViolation)
         invariants.append(BoundaryInvariant(math.exp(log_lam), tau))
-    s = _exp((sum(f.sigma1) - sum(f.sigma2)) / 6.0, "s", WindowViolation)
+    s = _exp((sum(sigma1) - sum(sigma2)) / 6.0, "s", WindowViolation)
     t = _exp(
         -f.tau_plus
         + _log1pexp(-f.sigma2[1])

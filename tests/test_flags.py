@@ -1,10 +1,13 @@
 import math
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import convexproj.flags as flags
+import convexproj.pants as pants
+import convexproj.surface as surface
 from convexproj import cli, fileio
 from convexproj.cli import ORACLE_GATE
 from convexproj.errors import (
@@ -12,6 +15,7 @@ from convexproj.errors import (
     DomainViolation,
     NonPositiveRatio,
     NoValidBranch,
+    WindowViolation,
 )
 from convexproj.flags import (
     Flag,
@@ -26,9 +30,16 @@ from convexproj.flags import (
     wedge2,
     wedge3,
 )
-from convexproj.pants import FGPants, fg_to_goldman, validate_fg_domain
-from convexproj.sampling import random_fg_pants
-from convexproj.spectral import EigenTriple, eigen_from_boundary
+from convexproj.pants import FGPants, GoldmanPants, fg_to_goldman, validate_fg_domain
+from convexproj.sampling import random_boundary_invariant, random_fg_pants, random_surface_goldman
+from convexproj.spectral import (
+    EDGE_TOL,
+    BoundaryInvariant,
+    EigenTriple,
+    check_window,
+    eigen_from_boundary,
+)
+from convexproj.surface import Gluing, bd_to_goldman, build_decomposition, goldman_to_bd
 
 E = math.e
 
@@ -163,6 +174,19 @@ class TestTripleRatio:
         with pytest.raises(DegenerateConfiguration, match=r"triple ratio overflows a float"):
             triple_ratio_log(f1, f2, f3)
 
+    def test_underflowing_ratio_raises(self):
+        # l1.p2 = l3.p1 = l2.p3 = 1e-200 and the other three pairings are 1: the
+        # ratio 1e-600 is positive and reads +0.0
+        f1 = Flag([1.0, 0.0, 0.0], [0.0, 1e-200, 1.0])
+        f2 = Flag([0.0, 1.0, 0.0], [1.0, 0.0, 1e-200])
+        f3 = Flag([0.0, 0.0, 1.0], [1e-200, 1.0, 0.0])
+        with pytest.raises(DegenerateConfiguration, match=r"^triple ratio underflows a float$"):
+            triple_ratio_log(f1, f2, f3)
+        # with l2.p3 = -1e-200 the ratio is negative and reads -0.0
+        f2 = Flag([0.0, 1.0, 0.0], [1.0, 0.0, -1e-200])
+        with pytest.raises(NonPositiveRatio, match=r"^triple ratio must be positive, got -0\.0$"):
+            triple_ratio_log(f1, f2, f3)
+
 
 class TestShearLogs:
     def test_dictionary_b1_symbolic(self):
@@ -197,6 +221,19 @@ class TestShearLogs:
         f1, f2, f3 = config.inner_flags
         with pytest.raises(DegenerateConfiguration, match=r"shear ratio sigma1 overflows a float"):
             shear_logs(f2, f3, f1, ProjPoint([-1e-320, 1.0, 1.0]))
+
+    def test_underflowing_ratio_raises(self):
+        # pos^neg^up = lneg.down = 1e-200, so sigma1's ratio 1e-400 reads +0.0
+        fpos = Flag((1, 0, 0), (0, 1, -2))
+        fneg = Flag((0, 1, 0), (1, 0, 0))
+        fup = Flag((1, 1, 1e-200), (1, -1, 0))
+        with pytest.raises(DegenerateConfiguration) as info:
+            shear_logs(fpos, fneg, fup, ProjPoint((1e-200, 1, -1)))
+        assert str(info.value) == "shear ratio sigma1 underflows a float"
+        # lneg.down = -1e-200: the ratio is negative and reads -0.0
+        with pytest.raises(NonPositiveRatio) as info:
+            shear_logs(fpos, fneg, fup, ProjPoint((-1e-200, 1, -1)))
+        assert str(info.value) == "shear ratios must be positive, got (-0.0, 3.333333333333333e+199)"
 
     def test_symmetric_example(self):
         config = config_from_fg(SYMMETRIC.sigma1, SYMMETRIC.sigma2, SYMMETRIC.tau_plus)
@@ -531,6 +568,262 @@ class TestWrittenOutHolonomy:
                            for branches in result.branches]
             assert written_out == listcomp_monodromy(report.config, report.eigen)
             assert [m.tobytes() for m in result.matrices] == [b[0][0] for b in written_out]
+
+
+# Today's kernels, kept as references: the lean kernels test their inputs
+# inline, write their pairings and lengths out and call these checks only to
+# word a failure, so every float bit and every exception must stay the same.
+# (Only a ratio that underflows is worded differently, and no input here
+# reaches one.)
+
+
+def reference_window(lam, tau):
+    """BoundaryInvariant's window test, through check_window."""
+    check = check_window(lam, tau)
+    if not check:
+        raise WindowViolation("; ".join(check.failures))
+
+
+def reference_fg_to_goldman(f):
+    """fg_to_goldman's (lambda, tau) per boundary, then s and t, computed and
+    checked the way it did before it wrote the six lengths out."""
+    check = validate_fg_domain(f)
+    if not check:
+        raise DomainViolation("; ".join(check.failures))
+    total = f.tau_plus + f.tau_minus
+    values = []
+    for i in range(3):
+        a1 = f.sigma1[(i + 1) % 3]
+        a2 = f.sigma2[(i + 1) % 3]
+        b1 = f.sigma1[(i - 1) % 3]
+        b2 = f.sigma2[(i - 1) % 3]
+        log_lam = (a1 + 2.0 * a2 + 2.0 * b1 + b2 + 2.0 * total) / 3.0
+        log_mu = (a1 - a2 - b1 + b2 - total) / 3.0
+        ell1 = check.lengths[i].ell1
+        tau = pants._exp(log_mu + pants._log1pexp(ell1), f"tau(A{i + 1})", WindowViolation)
+        lam = math.exp(log_lam)
+        reference_window(lam, tau)
+        values += [lam, tau]
+    s = pants._exp((sum(f.sigma1) - sum(f.sigma2)) / 6.0, "s", WindowViolation)
+    t = pants._exp(
+        -f.tau_plus
+        + pants._log1pexp(-f.sigma2[1])
+        + pants._log1pexp(-f.sigma2[2])
+        - pants._log1pexp(f.sigma1[2]),
+        "t", WindowViolation,
+    )
+    for name, value in (("s", s), ("t", t)):
+        if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+            raise ValueError(f"internal parameter {name} must be positive, got {value!r}")
+    return values + [s, t]
+
+
+def reference_config_from_fg(sigma1, sigma2, tau_plus):
+    """config_from_fg's seven scalars, with PantsFlagConfig's field-by-field
+    checks, then its inner flags and outer points as float triples."""
+    s1 = tuple(float(v) for v in sigma1)
+    s2 = tuple(float(v) for v in sigma2)
+    try:
+        scalars = (
+            math.exp(tau_plus),
+            math.exp(-s2[1]) + 1.0,
+            math.exp(tau_plus) * (math.exp(s1[2]) + 1.0),
+            math.exp(s1[0]) + 1.0,
+            math.exp(-s2[2]) + 1.0,
+            math.exp(-tau_plus) * (math.exp(-s2[0]) + 1.0),
+            math.exp(s1[1]) + 1.0,
+        )
+        x, a2, a3, b1, b3, c1, c2 = scalars
+        for name, value in zip(("x", "a2", "a3", "b1", "b3", "c1", "c2"), scalars):
+            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be a positive finite real, got {value!r}")
+        for name, value, bound in (("b1", b1, 1.0), ("c2", c2, 1.0), ("b3", b3, 1.0),
+                                   ("a2", a2, 1.0), ("a3", a3, x), ("x*c1", x * c1, 1.0)):
+            if not value > bound:
+                raise ValueError(f"{name} = {value!r} must exceed {bound!r}")
+    except (OverflowError, ValueError) as err:
+        raise DegenerateConfiguration(f"flag configuration is not representable: {err}") from err
+    meet13, meet12 = (1.0, -1.0, 1.0), (float(x), 1.0, -1.0)
+    p1, p2, p3 = flags._INNER_POINTS
+    inner = ((p1, flags._cross(p1, meet13)), (p2, flags._cross(p2, meet12)),
+             (p3, flags._cross(p3, meet13)))
+    outer = ((-1.0, b1, c1), (a2, -1.0, c2), (a3, b3, -1.0))
+    return scalars, inner, outer
+
+
+def reference_triple_ratio_log(f1, f2, f3):
+    ratio = (
+        flags._pairing(f1._line, f2._point, "l1.p2")
+        / flags._pairing(f3._line, f2._point, "l3.p2")
+        * flags._pairing(f3._line, f1._point, "l3.p1")
+        / flags._pairing(f2._line, f1._point, "l2.p1")
+        * flags._pairing(f2._line, f3._point, "l2.p3")
+        / flags._pairing(f1._line, f3._point, "l1.p3")
+    )
+    if not ratio > 0.0:
+        raise NonPositiveRatio(f"triple ratio must be positive, got {ratio!r}")
+    if ratio == math.inf:
+        raise DegenerateConfiguration("triple ratio overflows a float")
+    return math.log(ratio)
+
+
+def reference_shear_logs(fpos, fneg, fup, fdown_point):
+    down = fdown_point._triple
+    shared = flags._cross(fpos._point, fneg._point)
+    d_up = flags._pairing(shared, fup._point, "pos^neg^up")
+    d_down = flags._pairing(shared, down, "pos^neg^down")
+    ratio1 = -(d_up / d_down) * (
+        flags._pairing(fneg._line, down, "lneg.down")
+        / flags._pairing(fneg._line, fup._point, "lneg.up")
+    )
+    ratio2 = -(d_down / d_up) * (
+        flags._pairing(fpos._line, fup._point, "lpos.up")
+        / flags._pairing(fpos._line, down, "lpos.down")
+    )
+    if not ratio1 > 0.0 or not ratio2 > 0.0:
+        raise NonPositiveRatio(f"shear ratios must be positive, got ({ratio1!r}, {ratio2!r})")
+    for name, ratio in (("sigma1", ratio1), ("sigma2", ratio2)):
+        if ratio == math.inf:
+            raise DegenerateConfiguration(f"shear ratio {name} overflows a float")
+    return (math.log(ratio1), math.log(ratio2))
+
+
+def goldman_values(f):
+    g = fg_to_goldman(f)
+    return [v for b in g.boundary for v in (b.lam, b.tau)] + [g.s, g.t]
+
+
+def config_values(sigma1, sigma2, tau_plus):
+    c = config_from_fg(sigma1, sigma2, tau_plus)
+    return ((c.x, c.a2, c.a3, c.b1, c.b3, c.c1, c.c2),
+            tuple((f._point, f._line) for f in c.inner_flags),
+            tuple(p._triple for p in c.outer_points))
+
+
+def as_bits(value):
+    """Every float in a nested value as its exact hex form."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {key: as_bits(v) for key, v in value.items()}
+    if isinstance(value, (tuple, list)):
+        return tuple(map(as_bits, value))
+    return value
+
+
+def outcome(fn, *args):
+    """fn's result as bits, or the class and text of what it raised."""
+    try:
+        return as_bits(fn(*args))
+    except Exception as err:  # noqa: BLE001 - the exception itself is compared
+        return type(err), str(err)
+
+
+def plain(f):
+    """The tuple with exact floats, as fileio builds it."""
+    return FGPants(tuple(map(float, f.sigma1)), tuple(map(float, f.sigma2)),
+                   float(f.tau_plus), float(f.tau_minus))
+
+
+# Failures and far-out values on each exit of fg_to_goldman and config_from_fg.
+EDGE_TUPLES = [
+    FGPants((-1.0,) * 3, (-1.0,) * 3, 0.0, 5.0),              # every ell2 <= 0
+    FGPants((-1.0, -2000.0, -1.0), (-1.0,) * 3, 0.0, 0.0),    # tau(A1) overflows
+    FGPants((-1.0, -2000.0, -1.0), (-1.0,) * 3, 0.0, 5.0),    # ... and ell2 <= 0 wins
+    FGPants((-1.0,) * 3, (-1.0,) * 3, 0.0, -1500.0),          # lambda underflows
+    FGPants((-3100.0,) * 3, (3000.0,) * 3, 0.0, 0.0),         # s underflows
+    FGPants((-1.0,) * 3, (-1.0,) * 3, 800.0, -900.0),         # t underflows
+    FGPants((800.0, -1.0, -1.0), (-1.0, -900.0, -900.0), 0.0, 0.0),  # b1 overflows
+    FGPants((-30.0,) * 3, (-30.0,) * 3, 0.0, 0.0),            # e^-30 + 1 keeps its bits
+    FGPants((-45.0,) * 3, (-45.0,) * 3, 0.0, 0.0),            # e^-45 + 1 == 1.0
+]
+
+
+def lean_kernel_tuples(source):
+    if source == "sampler":
+        rng = np.random.default_rng(1400)
+        return [random_fg_pants(rng) for _ in range(3000)]
+    if source.startswith("readme_sweep"):
+        return readme_sweep(float(source.rsplit("_", 1)[1]), 1000)
+    return [FGPants(sigma1, sigma2, 0.0, 0.0) for sigma1, sigma2 in ILL_CONDITIONED] + [
+        FAR, *EDGE_TUPLES]
+
+
+def ring_chain(genus):
+    """The closed ring chain of test_fileio: 2g-2 pants in a cycle."""
+    n = 2 * genus - 2
+    names = [f"P{i}" for i in range(n)]
+    gluings = [Gluing(f"r{i}", (names[i], 1), (names[(i + 1) % n], 0)) for i in range(n)]
+    gluings += [Gluing(f"s{k}", (names[2 * k], 2), (names[2 * k + 1], 2)) for k in range(genus - 1)]
+    return build_decomposition(names, gluings, [])
+
+
+class TestLeanKernels:
+    @pytest.mark.parametrize(
+        "source", ["sampler", "readme_sweep_10", "readme_sweep_15", "readme_sweep_20", "edge"])
+    def test_bit_identical_to_the_reference_kernels(self, source):
+        for drawn in lean_kernel_tuples(source):
+            for f in (drawn, plain(drawn)):
+                assert outcome(goldman_values, f) == outcome(reference_fg_to_goldman, f)
+                args = (f.sigma1, f.sigma2, f.tau_plus)
+                config = outcome(config_values, *args)
+                assert config == outcome(reference_config_from_fg, *args)
+                if isinstance(config[0], type):
+                    continue
+                c = config_from_fg(*args)
+                inner, outer = c.inner_flags, c.outer_points
+                for i in range(3):
+                    line = (inner[(i + 1) % 3], inner[(i - 1) % 3], inner[i], outer[i])
+                    assert outcome(shear_logs, *line) == outcome(reference_shear_logs, *line)
+                expected = outcome(reference_triple_ratio_log, *inner)
+                assert outcome(triple_ratio_log, *inner) == expected
+
+    def test_ratios_bit_identical_on_flags_in_general_position(self):
+        # on a normalized configuration many pairings are +-1 or a single
+        # product, so the order of the ratio's products shows only here
+        rng = np.random.default_rng(1403)
+        for _ in range(3000):
+            f1, f2, f3 = (random_flag(rng) for _ in range(3))
+            down = ProjPoint(rng.normal(size=3))
+            assert outcome(triple_ratio_log, f1, f2, f3) == outcome(
+                reference_triple_ratio_log, f1, f2, f3)
+            assert outcome(shear_logs, f1, f2, f3, down) == outcome(
+                reference_shear_logs, f1, f2, f3, down)
+
+    def test_window_test_matches_check_window(self):
+        rng = np.random.default_rng(1401)
+        cases = [(b.lam, b.tau) for b in (random_boundary_invariant(rng) for _ in range(3000))]
+        for lam in (0.25, 1e-3, 0.999, math.nextafter(1.0, 0.0), 1e-170, 5e-324):
+            square = lam * lam
+            for bound in (2.0 / math.sqrt(lam), lam + 1.0 / square if square else 1e308):
+                for step in (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0):
+                    cases.append((lam, bound + step * EDGE_TOL))
+                below = above = bound
+                for _ in range(3):
+                    below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+                    cases += [(lam, below), (lam, above)]
+        cases += [(lam, 5.0) for lam in (math.nan, math.inf, 0.0, -1.0, 1.0, 1.5, -0.0)]
+        cases += [(0.25, tau) for tau in (math.nan, math.inf, -math.inf, 5, 16)]
+        for lam, tau in cases:
+            assert outcome(lambda: BoundaryInvariant(lam, tau) and None) == outcome(
+                reference_window, lam, tau), (lam, tau)
+
+    def test_surface_conversions_match_the_reference_kernels(self, monkeypatch):
+        d = ring_chain(50)
+        g = random_surface_goldman(d, np.random.default_rng(1402))
+        b = goldman_to_bd(d, g)
+        lean = as_bits((astuple(b), astuple(bd_to_goldman(d, b))))
+
+        def reference_goldman(f):
+            values = reference_fg_to_goldman(f)
+            boundary = tuple(BoundaryInvariant(values[k], values[k + 1]) for k in (0, 2, 4))
+            return GoldmanPants(boundary, values[6], values[7])
+
+        monkeypatch.setattr(BoundaryInvariant, "__post_init__",
+                            lambda self: reference_window(self.lam, self.tau))
+        monkeypatch.setattr(surface, "fg_to_goldman", reference_goldman)
+        b = goldman_to_bd(d, g)
+        assert as_bits((astuple(b), astuple(bd_to_goldman(d, b)))) == lean
 
 
 class _NoNumpy:

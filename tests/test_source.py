@@ -1,7 +1,12 @@
 """Checks on the library source itself."""
 
 import ast
+import importlib
+from collections.abc import Sequence
 from pathlib import Path
+
+from convexproj.flags import oracle_check, reconstruct_monodromy
+from convexproj.pants import FGPants
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "convexproj"
 
@@ -55,3 +60,30 @@ def test_flag_kernel_does_no_numpy_arithmetic():
         and node.attr in {"dot", "outer", "linalg", "eye", "isfinite", "all"}
     )
     assert found == []
+
+
+def test_traced_names_resolve():
+    # perfbench/tracer.py wraps these names at every binding; a renamed one
+    # would only show in the benchmark harness's own tests
+    tree = ast.parse((SRC.parent.parent / "perfbench" / "tracer.py").read_text())
+    traced = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and [target.id for target in node.targets] == ["TRACED"])
+    missing = []
+    for module_name, attrs in traced.items():
+        module = importlib.import_module(f"convexproj.{module_name}")
+        for attr in attrs:
+            owner, _, method = attr.rpartition(".")
+            if owner:
+                cls = getattr(module, owner, None)
+                found = cls is not None and callable(vars(cls).get(method))
+            else:
+                found = callable(getattr(module, attr, None))
+            if not found:
+                missing.append(f"{module_name}.{attr}")
+    assert missing == []
+    # the tracer's COUNTERS read len(result.branches) and len() of each entry
+    report = oracle_check(FGPants((-1.0,) * 3, (-1.0,) * 3, 0.0, 0.0))
+    branches = reconstruct_monodromy(report.config, report.eigen).branches
+    assert isinstance(branches, Sequence) and len(branches) == 3
+    assert all(isinstance(entry, Sequence) and len(entry) >= 1 for entry in branches)
