@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DegenerateConfiguration, NonPositiveRatio, NoValidBranch
 from .pants import FGPants, fg_to_goldman
-from .spectral import EigenTriple, eigen_from_boundary
+from .spectral import _REAL, EigenTriple, eigen_from_boundary
 
 # Coordinates below this fraction of a point's largest one are not used as
 # the pivot of its canonical representative.
@@ -149,19 +149,26 @@ class Flag:
         return np.array(self._line)
 
 
-def _pairing(line, point, what: str) -> float:
-    value = _dot(line, point)
-    if value == 0.0:
-        raise DegenerateConfiguration(f"pairing {what} is zero")
-    if not math.isfinite(value):
-        raise DegenerateConfiguration(f"pairing {what} overflows a float")
-    return value
+def _check_pairings(pairings, names) -> None:
+    """Raise DegenerateConfiguration naming the first pairing that is zero
+    or overflows a float.  Their product is nonzero and finite only if every
+    pairing is, so the kernels call this only when the product is not."""
+    for value, what in zip(pairings, names):
+        if value == 0.0:
+            raise DegenerateConfiguration(f"pairing {what} is zero")
+        if not math.isfinite(value):
+            raise DegenerateConfiguration(f"pairing {what} overflows a float")
 
 
 def _underflowed(ratio: float) -> bool:
     """A ratio of nonzero finite pairings that reads +0.0 is positive but
     below the float range; -0.0 is a negative ratio that underflowed."""
     return ratio == 0.0 and math.copysign(1.0, ratio) > 0.0
+
+
+# The pairings of each kernel, in the order they are checked.
+_TRIPLE_PAIRINGS = ("l1.p2", "l3.p2", "l3.p1", "l2.p1", "l2.p3", "l1.p3")
+_SHEAR_PAIRINGS = ("pos^neg^up", "pos^neg^down", "lneg.down", "lneg.up", "lpos.up", "lpos.down")
 
 
 def triple_ratio_log(f1: Flag, f2: Flag, f3: Flag) -> float:
@@ -180,13 +187,8 @@ def triple_ratio_log(f1: Flag, f2: Flag, f3: Flag) -> float:
     l2p1 = b0 * p0 + b1 * p1 + b2 * p2
     l2p3 = b0 * r0 + b1 * r1 + b2 * r2
     l1p3 = a0 * r0 + a1 * r1 + a2 * r2
-    # the product is nonzero and finite only if every pairing is; otherwise
-    # _pairing names the first pairing, in this order, that is zero or overflows
     if not 0.0 < abs(l1p2 * l3p2 * l3p1 * l2p1 * l2p3 * l1p3) < math.inf:
-        for line, point, what in ((f1._line, f2._point, "l1.p2"), (f3._line, f2._point, "l3.p2"),
-                                  (f3._line, f1._point, "l3.p1"), (f2._line, f1._point, "l2.p1"),
-                                  (f2._line, f3._point, "l2.p3"), (f1._line, f3._point, "l1.p3")):
-            _pairing(line, point, what)
+        _check_pairings((l1p2, l3p2, l3p1, l2p1, l2p3, l1p3), _TRIPLE_PAIRINGS)
     ratio = l1p2 / l3p2 * l3p1 / l2p1 * l2p3 / l1p3
     if 0.0 < ratio < math.inf:
         return math.log(ratio)
@@ -216,12 +218,8 @@ def shear_logs(fpos: Flag, fneg: Flag, fup: Flag, fdown_point: ProjPoint) -> tup
     neg_up = n0 * u0 + n1 * u1 + n2 * u2
     pos_up = m0 * u0 + m1 * u1 + m2 * u2
     pos_down = m0 * d0 + m1 * d1 + m2 * d2
-    # as in triple_ratio_log: _pairing names a zero or overflowing pairing
     if not 0.0 < abs(d_up * d_down * neg_down * neg_up * pos_up * pos_down) < math.inf:
-        for line, point, what in ((shared, up, "pos^neg^up"), (shared, down, "pos^neg^down"),
-                                  (fneg._line, down, "lneg.down"), (fneg._line, up, "lneg.up"),
-                                  (fpos._line, up, "lpos.up"), (fpos._line, down, "lpos.down")):
-            _pairing(line, point, what)
+        _check_pairings((d_up, d_down, neg_down, neg_up, pos_up, pos_down), _SHEAR_PAIRINGS)
     ratio1 = -(d_up / d_down) * (neg_down / neg_up)
     ratio2 = -(d_down / d_up) * (pos_up / pos_down)
     if 0.0 < ratio1 < math.inf and 0.0 < ratio2 < math.inf:
@@ -238,7 +236,13 @@ def shear_logs(fpos: Flag, fneg: Flag, fup: Flag, fdown_point: ProjPoint) -> tup
 
 
 # The inner ideal triangle: the coordinate points [1,0,0], [0,1,0], [0,0,1].
+# The flag planes of vertices 1 and 3 both pass through [1,-1,1], so those two
+# flags are the same in every configuration; only vertex 2's depends on x.
 _INNER_POINTS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+_MEET13 = (1.0, -1.0, 1.0)
+_INNER_FLAG1 = Flag(_INNER_POINTS[0], _cross(_INNER_POINTS[0], _MEET13))
+_INNER_FLAG3 = Flag(_INNER_POINTS[2], _cross(_INNER_POINTS[2], _MEET13))
+_CONFIG_FIELDS = ("x", "a2", "a3", "b1", "b3", "c1", "c2")
 
 
 @dataclass(frozen=True)
@@ -259,43 +263,26 @@ class PantsFlagConfig:
     c2: float
 
     def __post_init__(self):
-        x, a2, a3, b1, b3, c1, c2 = self.x, self.a2, self.a3, self.b1, self.b3, self.c1, self.c2
-        if not (type(x) is type(a2) is type(a3) is type(b1) is type(b3) is type(c1) is type(c2)
-                is float and 0.0 < x < math.inf and 1.0 < a2 < math.inf and x < a3 < math.inf
-                and 1.0 < b1 < math.inf and 1.0 < b3 < math.inf and 0.0 < c1 < math.inf
-                and 1.0 < c2 < math.inf and x * c1 > 1.0):
-            self._check_fields()
+        fields = (self.x, self.a2, self.a3, self.b1, self.b3, self.c1, self.c2)
+        x, a2, a3, b1, b3, c1, c2 = fields
+        for name, value in zip(_CONFIG_FIELDS, fields):
+            if not (isinstance(value, _REAL) and math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be a positive finite real, got {value!r}")
+        for name, value, bound in (("b1", b1, 1.0), ("c2", c2, 1.0), ("b3", b3, 1.0),
+                                   ("a2", a2, 1.0), ("a3", a3, x), ("x*c1", x * c1, 1.0)):
+            if not value > bound:
+                raise ValueError(f"{name} = {value!r} must exceed {bound!r}")
         x = float(x)
-        meet13, meet12, _ = meets = ((1.0, -1.0, 1.0), (x, 1.0, -1.0), (-x, x, 1.0))
-        p1, p2, p3 = _INNER_POINTS
-        object.__setattr__(self, "_meets", meets)
-        object.__setattr__(self, "inner_flags", (
-            Flag(p1, _cross(p1, meet13)),
-            Flag(p2, _cross(p2, meet12)),
-            Flag(p3, _cross(p3, meet13)),
-        ))
+        meet12 = (x, 1.0, -1.0)
+        p2 = _INNER_POINTS[1]
+        object.__setattr__(self, "_meets", (_MEET13, meet12, (-x, x, 1.0)))
+        object.__setattr__(self, "inner_flags",
+                           (_INNER_FLAG1, Flag(p2, _cross(p2, meet12)), _INNER_FLAG3))
         object.__setattr__(self, "outer_points", (
             ProjPoint((-1.0, b1, c1)),
             ProjPoint((a2, -1.0, c2)),
             ProjPoint((a3, b3, -1.0)),
         ))
-
-    def _check_fields(self):
-        """Field by field: raise ValueError naming the first broken constraint."""
-        for name in ("x", "a2", "a3", "b1", "b3", "c1", "c2"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be a positive finite real, got {value!r}")
-        for name, value, bound in (
-            ("b1", self.b1, 1.0),
-            ("c2", self.c2, 1.0),
-            ("b3", self.b3, 1.0),
-            ("a2", self.a2, 1.0),
-            ("a3", self.a3, self.x),
-            ("x*c1", self.x * self.c1, 1.0),
-        ):
-            if not value > bound:
-                raise ValueError(f"{name} = {value!r} must exceed {bound!r}")
 
     @property
     def inner_points(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

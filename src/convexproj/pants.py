@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     CoordinateError,
@@ -44,15 +45,18 @@ from .errors import (
     NoPositiveRoot,
     WindowViolation,
 )
-from .spectral import BoundaryInvariant, LengthPair, eigen_from_boundary
+from .spectral import _REAL, BoundaryInvariant, LengthPair, _new, eigen_from_boundary
 
 
 def _exp(x: float, what: str, error: type[CoordinateError]) -> float:
-    """e^x, raising `error` naming the value when it overflows a float."""
+    """e^x, raising `error` naming the value when it overflows or underflows a float."""
     try:
-        return math.exp(x)
+        value = math.exp(x)
     except OverflowError as err:
         raise error(f"{what} = exp({x!r}) overflows a float") from err
+    if value == 0.0:
+        raise error(f"{what} = exp({x!r}) underflows a float")
+    return value
 
 
 def _log1pexp(x: float) -> float:
@@ -71,15 +75,10 @@ class GoldmanPants:
     t: float
 
     def __post_init__(self):
-        s, t = self.s, self.t
-        if (len(self.boundary) == 3 and type(s) is float and type(t) is float
-                and 0.0 < s < math.inf and 0.0 < t < math.inf):
-            return
         if len(self.boundary) != 3:
             raise ValueError("exactly three boundary invariants are required")
-        for name in ("s", "t"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+        for name, value in (("s", self.s), ("t", self.t)):
+            if not (isinstance(value, _REAL) and math.isfinite(value) and value > 0):
                 raise ValueError(f"internal parameter {name} must be positive, got {value!r}")
 
 
@@ -99,27 +98,17 @@ class FGPants:
     tau_minus: float
 
     def __post_init__(self):
-        sigma1, sigma2 = self.sigma1, self.sigma2
-        if type(sigma1) is tuple and type(sigma2) is tuple and len(sigma1) == len(sigma2) == 3:
-            a1, b1, c1 = sigma1
-            a2, b2, c2 = sigma2
-            tau_plus, tau_minus = self.tau_plus, self.tau_minus
-            # a sum of floats is finite only when every term is
-            if (type(a1) is type(b1) is type(c1) is type(a2) is type(b2) is type(c2)
-                    is type(tau_plus) is type(tau_minus) is float
-                    and math.isfinite(a1 + b1 + c1 + a2 + b2 + c2 + tau_plus + tau_minus)):
-                return
-        for name in ("sigma1", "sigma2"):
-            values = getattr(self, name)
-            if len(values) != 3 or not all(math.isfinite(v) for v in values):
+        for name, values in (("sigma1", self.sigma1), ("sigma2", self.sigma2)):
+            if not (len(values) == 3 and math.isfinite(values[0]) and math.isfinite(values[1])
+                    and math.isfinite(values[2])):
                 raise ValueError(f"{name} must hold three finite reals, got {values!r}")
-        for name in ("tau_plus", "tau_minus"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        if not math.isfinite(self.tau_plus):
+            raise ValueError("tau_plus must be finite")
+        if not math.isfinite(self.tau_minus):
+            raise ValueError("tau_minus must be finite")
 
 
-@dataclass(frozen=True)
-class DomainCheck:
+class DomainCheck(NamedTuple):
     """Result of the length-positivity test, listing all six lengths."""
 
     lengths: tuple[LengthPair, LengthPair, LengthPair]
@@ -130,26 +119,27 @@ class DomainCheck:
 
 
 def boundary_lengths(f: FGPants) -> tuple[LengthPair, LengthPair, LengthPair]:
-    """The (ell1, ell2) pair of each boundary component, from the shear data."""
+    """The (ell1, ell2) pair of each boundary component, from the shear data:
+    ell1(A_i) = -sigma1(B_{i+1}) - sigma2(B_{i-1}) and
+    ell2(A_i) = -sigma2(B_{i+1}) - sigma1(B_{i-1}) - tau_plus - tau_minus."""
+    a1, b1, c1 = f.sigma1
+    a2, b2, c2 = f.sigma2
     total = f.tau_plus + f.tau_minus
-    out = []
-    for i in range(3):
-        ell1 = -f.sigma1[(i + 1) % 3] - f.sigma2[(i - 1) % 3]
-        ell2 = -f.sigma2[(i + 1) % 3] - f.sigma1[(i - 1) % 3] - total
-        out.append(LengthPair(ell1, ell2))
-    return tuple(out)
+    return (_new(LengthPair, (-b1 - c2, -b2 - c1 - total)),
+            _new(LengthPair, (-c1 - a2, -c2 - a1 - total)),
+            _new(LengthPair, (-a1 - b2, -a2 - b1 - total)))
 
 
 def validate_fg_domain(f: FGPants) -> DomainCheck:
     """A tuple is admissible iff all six boundary lengths are positive."""
     lengths = boundary_lengths(f)
-    failures = []
-    for i, pair in enumerate(lengths):
-        if not pair.ell1 > 0:
-            failures.append(f"ell1(A{i + 1}) = {pair.ell1!r} is not positive")
-        if not pair.ell2 > 0:
-            failures.append(f"ell2(A{i + 1}) = {pair.ell2!r} is not positive")
-    return DomainCheck(lengths, tuple(failures))
+    failures = ()
+    for i, (ell1, ell2) in enumerate(lengths):
+        if not ell1 > 0:
+            failures += (f"ell1(A{i + 1}) = {ell1!r} is not positive",)
+        if not ell2 > 0:
+            failures += (f"ell2(A{i + 1}) = {ell2!r} is not positive",)
+    return _new(DomainCheck, (lengths, failures))
 
 
 _TAU_NAMES = ("tau(A1)", "tau(A2)", "tau(A3)")
@@ -158,19 +148,16 @@ _TAU_NAMES = ("tau(A1)", "tau(A2)", "tau(A3)")
 def fg_to_goldman(f: FGPants) -> GoldmanPants:
     """Evaluate the closed-form map from shear/triangle data to Goldman data.
 
-    Raises DomainViolation when the length-positivity test fails, and
-    WindowViolation when valid data far out (a shear of -800) puts a Goldman
-    value beyond the float range: lambda underflows, or tau, s or t overflows.
+    Raises DomainViolation when the length-positivity test fails, before
+    any exp, and WindowViolation when valid data far out (a shear of -800)
+    puts a Goldman value beyond the float range: lambda, s or t underflows,
+    or tau, s or t overflows.
     """
+    lengths, failures = validate_fg_domain(f)
+    if failures:
+        raise DomainViolation("; ".join(failures))
     sigma1, sigma2 = f.sigma1, f.sigma2
     total = f.tau_plus + f.tau_minus
-    # boundary_lengths written out, so that all six are tested before any exp
-    s10, s11, s12 = sigma1
-    s20, s21, s22 = sigma2
-    ell1 = (-s11 - s22, -s12 - s20, -s10 - s21)
-    if not (ell1[0] > 0 and ell1[1] > 0 and ell1[2] > 0 and -s21 - s12 - total > 0
-            and -s22 - s10 - total > 0 and -s20 - s11 - total > 0):
-        raise DomainViolation("; ".join(validate_fg_domain(f).failures))
     invariants = []
     for i in range(3):
         a1 = sigma1[(i + 1) % 3]
@@ -180,7 +167,7 @@ def fg_to_goldman(f: FGPants) -> GoldmanPants:
         log_lam = (a1 + 2.0 * a2 + 2.0 * b1 + b2 + 2.0 * total) / 3.0
         log_mu = (a1 - a2 - b1 + b2 - total) / 3.0
         # tau = mu + nu = mu * (1 + e^ell1)
-        tau = _exp(log_mu + _log1pexp(ell1[i]), _TAU_NAMES[i], WindowViolation)
+        tau = _exp(log_mu + _log1pexp(lengths[i].ell1), _TAU_NAMES[i], WindowViolation)
         invariants.append(BoundaryInvariant(math.exp(log_lam), tau))
     s = _exp((sum(sigma1) - sum(sigma2)) / 6.0, "s", WindowViolation)
     t = _exp(

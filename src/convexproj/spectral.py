@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import WindowViolation
 
@@ -27,8 +28,7 @@ REL_TOL = 1e-12
 EDGE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class WindowCheck:
+class WindowCheck(NamedTuple):
     """Outcome of the boundary-window test, with the bounds that were used."""
 
     lower: float
@@ -39,34 +39,37 @@ class WindowCheck:
         return not self.failures
 
 
+# The checks below build their results with tuple.__new__, which is what a
+# NamedTuple's own constructor calls, without a Python-level call per result.
+_new = tuple.__new__
+_REAL = (int, float)
+
+
 def check_window(lam: float, tau: float) -> WindowCheck:
     """Test 0 < lam < 1 and 2/sqrt(lam) < tau < lam + 1/lam**2, strictly.
 
     Total: never raises. The returned object is truthy iff the pair is
     admissible; otherwise ``failures`` names each violated bound.
     """
-    failures = []
-    if not (isinstance(lam, (int, float)) and math.isfinite(lam) and lam > 0):
-        failures.append(f"lambda must be a positive finite real, got {lam!r}")
-        return WindowCheck(math.nan, math.nan, tuple(failures))
-    if lam >= 1.0:
-        failures.append(f"lambda={lam!r} is not below 1")
+    if not (isinstance(lam, _REAL) and math.isfinite(lam) and lam > 0):
+        return _new(WindowCheck, (math.nan, math.nan,
+                                  (f"lambda must be a positive finite real, got {lam!r}",)))
     lower = 2.0 / math.sqrt(lam)
     square = lam * lam
     # lam below about 1.5e-162 squares to 0.0: the upper bound is then infinite
     upper = lam + 1.0 / square if square else math.inf
-    if not (isinstance(tau, (int, float)) and math.isfinite(tau)):
-        failures.append(f"tau must be a finite real, got {tau!r}")
+    failures = ()
+    if lam >= 1.0:
+        failures += (f"lambda={lam!r} is not below 1",)
+    if not (isinstance(tau, _REAL) and math.isfinite(tau)):
+        failures += (f"tau must be a finite real, got {tau!r}",)
     else:
         if tau - lower <= EDGE_TOL:
-            failures.append(
-                f"tau={tau!r} is not above the lower bound 2/sqrt(lambda)={lower!r}"
-            )
+            failures += (f"tau={tau!r} is not above the lower bound 2/sqrt(lambda)={lower!r}",)
         if upper - tau <= EDGE_TOL:
-            failures.append(
-                f"tau={tau!r} is not below the upper bound lambda+1/lambda^2={upper!r}"
-            )
-    return WindowCheck(lower, upper, tuple(failures))
+            failures += (
+                f"tau={tau!r} is not below the upper bound lambda+1/lambda^2={upper!r}",)
+    return _new(WindowCheck, (lower, upper, failures))
 
 
 @dataclass(frozen=True)
@@ -96,20 +99,12 @@ class BoundaryInvariant:
     tau: float
 
     def __post_init__(self):
-        lam, tau = self.lam, self.tau
-        # check_window's test for exact floats; a nan or infinite tau fails a bound
-        if type(lam) is float and type(tau) is float and 0.0 < lam < 1.0:
-            square = lam * lam
-            upper = lam + 1.0 / square if square else math.inf
-            if tau - 2.0 / math.sqrt(lam) > EDGE_TOL and upper - tau > EDGE_TOL:
-                return
-        check = check_window(lam, tau)
-        if not check:
-            raise WindowViolation("; ".join(check.failures))
+        failures = check_window(self.lam, self.tau).failures
+        if failures:
+            raise WindowViolation("; ".join(failures))
 
 
-@dataclass(frozen=True)
-class LengthPair:
+class LengthPair(NamedTuple):
     """The two length functions ell1 = log nu - log mu, ell2 = log mu - log lam."""
 
     ell1: float

@@ -124,6 +124,19 @@ def _refuse_slot(slot, slots: dict, pants, owner: str):
         raise SlotReuse(f"slot {slot!r} is used more than once ({owner})")
 
 
+def _claims(gluings, boundaries):
+    """(slot, curve, role, owner kind) in claiming order: each gluing's plus
+    then minus slot, then the boundary slots.  A gluing that pairs a slot
+    with itself is refused when it is reached."""
+    for g in gluings:
+        if g.plus == g.minus:
+            raise SlotReuse(f"gluing {g.curve!r} pairs slot {g.plus!r} with itself")
+        yield g.plus, g.curve, "plus", "gluing"
+        yield g.minus, g.curve, "minus", "gluing"
+    for b in boundaries:
+        yield b.slot, b.curve, "boundary", "boundary"
+
+
 def build_decomposition(pants, gluings, boundaries) -> PantsDecomposition:
     """Validate the combinatorics and derive (genus, boundary count).
 
@@ -148,24 +161,11 @@ def build_decomposition(pants, gluings, boundaries) -> PantsDecomposition:
     # A slot is claimed when it equals an unclaimed (pants key, 0..2) pair.  The
     # test below accepts exactly the 2-tuples that do; _refuse_slot settles
     # everything else (other sequences, tuple subclasses) with the full check.
-    for g in gluings:
-        plus, minus = g.plus, g.minus
-        if plus == minus:
-            raise SlotReuse(f"gluing {g.curve!r} pairs slot {plus!r} with itself")
-        if (plus in slots or type(plus) is not tuple or len(plus) != 2
-                or plus[1] not in _SLOT_INDICES or plus[0] not in known):
-            _refuse_slot(plus, slots, pants, f"gluing {g.curve!r}")
-        slots[plus] = (g.curve, "plus")
-        if (minus in slots or type(minus) is not tuple or len(minus) != 2
-                or minus[1] not in _SLOT_INDICES or minus[0] not in known):
-            _refuse_slot(minus, slots, pants, f"gluing {g.curve!r}")
-        slots[minus] = (g.curve, "minus")
-    for b in boundaries:
-        slot = b.slot
+    for slot, curve, role, owner in _claims(gluings, boundaries):
         if (slot in slots or type(slot) is not tuple or len(slot) != 2
                 or slot[1] not in _SLOT_INDICES or slot[0] not in known):
-            _refuse_slot(slot, slots, pants, f"boundary {b.curve!r}")
-        slots[slot] = (b.curve, "boundary")
+            _refuse_slot(slot, slots, pants, f"{owner} {curve!r}")
+        slots[slot] = (curve, role)
     if len(slots) != 3 * len(pants):
         missing = sorted(_all_slots(pants) - slots.keys())
         raise CountMismatch(f"unused slots: {missing!r}")

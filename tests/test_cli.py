@@ -489,6 +489,28 @@ class TestOverflow:
         result = run_cli("oracle", bad)
         expect_one_error(result, 3, "pants 'P0': s = exp(1500.5) overflows a float")
 
+    @pytest.mark.parametrize("command", [("oracle",), ("convert", "--to", "goldman", "out.json")],
+                             ids=["oracle", "convert"])
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            (([-3100.0] * 3, [3000.0] * 3, 0.0, 0.0), "pants 'P0': s = exp(-3050.0) underflows"),
+            (([-1.0] * 3, [-1.0] * 3, 800.0, -900.0),
+             "pants 'P0': t = exp(-797.6867383124818) underflows"),
+        ],
+        ids=["s", "t"],
+    )
+    def test_internal_parameter_underflows(self, tmp_path, command, values, message):
+        # all six lengths are positive, but s or t is below the float range
+        data = json.loads((SAMPLES / "pants_bd.json").read_text())
+        data["values"]["pants"]["P0"] = dict(zip(("sigma1", "sigma2", "tau_plus", "tau_minus"),
+                                                 values))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        result = run_cli(command[0], bad, *command[1:], cwd=tmp_path)
+        expect_one_error(result, 3, message)
+        assert not (tmp_path / "out.json").exists()
+
     def test_goldman_crossratio_overflows(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(set_pants_value("s", 1e300)((SAMPLES / "pants_goldman.json").read_text()))

@@ -376,7 +376,8 @@ class TestOracleCheck:
         assert report.tau_sum_residual <= 1e-12
 
     def test_flags_built_once(self, monkeypatch):
-        # three inner flag lines, and the line through both endpoints of each of three shear lines
+        # the one inner flag line that depends on the configuration (vertex 2's),
+        # and the line through both endpoints of each of three shear lines
         counts = {"cross": 0, "Flag": 0}
         cross_impl, flag_init = flags._cross, Flag.__init__
 
@@ -391,10 +392,10 @@ class TestOracleCheck:
         monkeypatch.setattr(flags, "_cross", counting_cross)
         monkeypatch.setattr(Flag, "__init__", counting_init)
         report = oracle_check(SYMMETRIC)
-        assert counts == {"cross": 6, "Flag": 3}
+        assert counts == {"cross": 4, "Flag": 1}
         # per holonomy: three cofactor rows and the determinant of the images
         reconstruct_monodromy(report.config, report.eigen)
-        assert counts == {"cross": 18, "Flag": 3}
+        assert counts == {"cross": 16, "Flag": 1}
 
     def test_monodromy_reuses_the_oracle_flags(self, monkeypatch):
         counts = {"Flag": 0, "ProjPoint": 0}
@@ -412,7 +413,7 @@ class TestOracleCheck:
         monkeypatch.setattr(ProjPoint, "__init__", counting_point)
         report = oracle_check(SYMMETRIC)
         reconstruct_monodromy(report.config, report.eigen)
-        assert counts == {"Flag": 3, "ProjPoint": 3}
+        assert counts == {"Flag": 1, "ProjPoint": 3}
 
 
 def symmetric_monodromy():
@@ -570,11 +571,20 @@ class TestWrittenOutHolonomy:
             assert [m.tobytes() for m in result.matrices] == [b[0][0] for b in written_out]
 
 
-# Today's kernels, kept as references: the lean kernels test their inputs
-# inline, write their pairings and lengths out and call these checks only to
-# word a failure, so every float bit and every exception must stay the same.
-# (Only a ratio that underflows is worded differently, and no input here
-# reaches one.)
+# Earlier kernels, kept as references: the kernels now compute their
+# lengths and pairings once and word a failure from those values, so every
+# float bit and every exception must stay the same.  (Only a ratio that
+# underflows is worded differently, and no input here reaches one.)
+
+
+def _pairing(line, point, what):
+    """The pairing the earlier kernels checked one at a time."""
+    value = flags._dot(line, point)
+    if value == 0.0:
+        raise DegenerateConfiguration(f"pairing {what} is zero")
+    if not math.isfinite(value):
+        raise DegenerateConfiguration(f"pairing {what} overflows a float")
+    return value
 
 
 def reference_window(lam, tau):
@@ -612,9 +622,6 @@ def reference_fg_to_goldman(f):
         - pants._log1pexp(f.sigma1[2]),
         "t", WindowViolation,
     )
-    for name, value in (("s", s), ("t", t)):
-        if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-            raise ValueError(f"internal parameter {name} must be positive, got {value!r}")
     return values + [s, t]
 
 
@@ -653,12 +660,12 @@ def reference_config_from_fg(sigma1, sigma2, tau_plus):
 
 def reference_triple_ratio_log(f1, f2, f3):
     ratio = (
-        flags._pairing(f1._line, f2._point, "l1.p2")
-        / flags._pairing(f3._line, f2._point, "l3.p2")
-        * flags._pairing(f3._line, f1._point, "l3.p1")
-        / flags._pairing(f2._line, f1._point, "l2.p1")
-        * flags._pairing(f2._line, f3._point, "l2.p3")
-        / flags._pairing(f1._line, f3._point, "l1.p3")
+        _pairing(f1._line, f2._point, "l1.p2")
+        / _pairing(f3._line, f2._point, "l3.p2")
+        * _pairing(f3._line, f1._point, "l3.p1")
+        / _pairing(f2._line, f1._point, "l2.p1")
+        * _pairing(f2._line, f3._point, "l2.p3")
+        / _pairing(f1._line, f3._point, "l1.p3")
     )
     if not ratio > 0.0:
         raise NonPositiveRatio(f"triple ratio must be positive, got {ratio!r}")
@@ -670,15 +677,15 @@ def reference_triple_ratio_log(f1, f2, f3):
 def reference_shear_logs(fpos, fneg, fup, fdown_point):
     down = fdown_point._triple
     shared = flags._cross(fpos._point, fneg._point)
-    d_up = flags._pairing(shared, fup._point, "pos^neg^up")
-    d_down = flags._pairing(shared, down, "pos^neg^down")
+    d_up = _pairing(shared, fup._point, "pos^neg^up")
+    d_down = _pairing(shared, down, "pos^neg^down")
     ratio1 = -(d_up / d_down) * (
-        flags._pairing(fneg._line, down, "lneg.down")
-        / flags._pairing(fneg._line, fup._point, "lneg.up")
+        _pairing(fneg._line, down, "lneg.down")
+        / _pairing(fneg._line, fup._point, "lneg.up")
     )
     ratio2 = -(d_down / d_up) * (
-        flags._pairing(fpos._line, fup._point, "lpos.up")
-        / flags._pairing(fpos._line, down, "lpos.down")
+        _pairing(fpos._line, fup._point, "lpos.up")
+        / _pairing(fpos._line, down, "lpos.down")
     )
     if not ratio1 > 0.0 or not ratio2 > 0.0:
         raise NonPositiveRatio(f"shear ratios must be positive, got ({ratio1!r}, {ratio2!r})")

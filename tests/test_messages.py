@@ -1,10 +1,12 @@
-"""Exception class and text of every check that has an inline fast path.
+"""Exception class and text of every check on the value classes and kernels.
 
-The value classes and kernels of `spectral`, `pants` and `flags` test their
-inputs inline and call the field-by-field checks only to word a failure.
-`EXPECTED` was recorded from those checks alone, so each failure keeps its
-class and its text; a case that passes records the repr of its result.
-Ratios that underflow are worded in tests/test_flags.py instead.
+The value classes and kernels of `spectral`, `pants` and `flags` each call
+one check: `check_window`, `validate_fg_domain`, their own field check or
+the pairing check.  That check computes its bounds, lengths or pairings
+once and words a failure from those values.  `EXPECTED` was recorded from
+the earlier field-by-field checks, so each failure keeps its class and its
+text; a case that passes records the repr of its result.  Ratios that
+underflow are worded in tests/test_flags.py instead.
 """
 
 import math
@@ -12,6 +14,8 @@ import math
 import numpy as np
 import pytest
 
+import convexproj.pants as pants
+import convexproj.spectral as spectral
 from convexproj.errors import ClosureViolation, SchemaError, WindowViolation, located
 from convexproj.flags import Flag, PantsFlagConfig, ProjPoint, _floats, shear_logs, triple_ratio_log
 from convexproj.pants import FGPants, GoldmanPants, fg_to_goldman
@@ -119,6 +123,9 @@ CASES = {
         FGPants((-1.0, -2000.0, -1.0), ONES, 0.0, 0.0)),
     "fg_to_goldman_domain_beats_overflow": lambda: fg_to_goldman(
         FGPants((-1.0, -2000.0, -1.0), ONES, 0.0, 5.0)),
+    "fg_to_goldman_s_underflows": lambda: fg_to_goldman(
+        FGPants((-3100.0,) * 3, (3000.0,) * 3, 0.0, 0.0)),
+    "fg_to_goldman_t_underflows": lambda: fg_to_goldman(FGPants((-1,) * 3, (-1,) * 3, 800, -900)),
     # _floats: exact floats, ints, bools and numpy values; only three entries
     "floats_floats": lambda: _floats((1.5, -2.5, 0.0)),
     "floats_ints": lambda: _floats([1, 0, -3]),
@@ -263,6 +270,9 @@ EXPECTED = {
         ('WindowViolation', 'tau(A1) = exp(1334.6666666666665) overflows a float'),
     'fg_to_goldman_domain_beats_overflow':
         ('DomainViolation', 'ell2(A1) = -3.0 is not positive; ell2(A2) = -3.0 is not positive'),
+    'fg_to_goldman_s_underflows': ('WindowViolation', 's = exp(-3050.0) underflows a float'),
+    'fg_to_goldman_t_underflows':
+        ('WindowViolation', 't = exp(-797.6867383124818) underflows a float'),
     'floats_floats': (None, '(1.5, -2.5, 0.0)'),
     'floats_ints': (None, '(1.0, 0.0, -3.0)'),
     'floats_mixed': (None, '(1.0, 2.5, 3.0)'),
@@ -326,6 +336,32 @@ def test_class_and_text(case):
 
 def test_every_case_has_a_recorded_outcome():
     assert set(EXPECTED) == set(CASES)
+
+
+def counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that counts its calls."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+class TestOneCheckPerValue:
+    def test_boundary_invariant_calls_check_window_once(self, monkeypatch):
+        calls = counting(monkeypatch, spectral, "check_window")
+        BoundaryInvariant(0.2, 6.0)
+        assert calls == [(0.2, 6.0)]
+
+    def test_fg_to_goldman_calls_validate_fg_domain_once(self, monkeypatch):
+        calls = counting(monkeypatch, pants, "validate_fg_domain")
+        f = FGPants(ONES, ONES, 0.0, 0.0)
+        fg_to_goldman(f)
+        assert len(calls) == 1 and calls[0][0] is f
 
 
 class TestLocated:

@@ -87,3 +87,44 @@ def test_traced_names_resolve():
     branches = reconstruct_monodromy(report.config, report.eigen).branches
     assert isinstance(branches, Sequence) and len(branches) == 3
     assert all(isinstance(entry, Sequence) and len(entry) >= 1 for entry in branches)
+
+
+def _parsed_modules():
+    return [(path.name, ast.parse(path.read_text(), filename=str(path)))
+            for path in sorted(SRC.glob("*.py"))]
+
+
+def test_edge_tol_read_only_in_check_window():
+    # the window's edge tolerance belongs to its one check
+    found = []
+    for name, tree in _parsed_modules():
+        inside = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "check_window":
+                inside.update(map(id, ast.walk(node)))
+        found += [
+            f"{name}:{node.lineno}" for node in ast.walk(tree)
+            if (isinstance(node, ast.Name) and node.id == "EDGE_TOL"
+                and isinstance(node.ctx, ast.Load)
+                or isinstance(node, ast.Attribute) and node.attr == "EDGE_TOL")
+            and id(node) not in inside
+        ]
+    assert found == []
+
+
+def test_every_import_is_used():
+    # a name imported into a library module and never read is left over
+    unused = []
+    for name, tree in _parsed_modules():
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{name}:{line} {bound}" for bound, line in imported.items()
+                   if bound not in read]
+    assert unused == []
