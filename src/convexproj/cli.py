@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import os
 import sys
 import traceback
@@ -59,22 +60,21 @@ def cmd_convert(args) -> int:
 
 
 def _validate_goldman(cf: fileio.CoordinateFile) -> bool:
-    d = cf.decomposition
-    ok = True
-    for key in sorted(cf.curve_values):
-        entry = cf.curve_values[key]
-        check = check_window(entry["lambda"], entry["tau"])
+    d, values, ok = cf.decomposition, cf.values, True
+    for key in sorted(values.curves):
+        lam, tau = values.curves[key]
+        check = check_window(lam, tau)
         if check:
             print(f"PASS curve {key}: window ok "
-                  f"({check.lower:.6g} < tau={entry['tau']:.6g} < {check.upper:.6g})")
+                  f"({check.lower:.6g} < tau={tau:.6g} < {check.upper:.6g})")
         else:
             ok = False
             print(f"FAIL curve {key}: {'; '.join(check.failures)}")
-    for key in sorted(cf.pants_values):
-        entry = cf.pants_values[key]
-        good = entry["s"] > 0 and entry["t"] > 0
+    for key in sorted(values.pants):
+        s, t = values.pants[key]
+        good = s > 0 and t > 0
         ok = ok and good
-        print(f"{'PASS' if good else 'FAIL'} pants {key}: s={entry['s']:.6g} t={entry['t']:.6g}"
+        print(f"{'PASS' if good else 'FAIL'} pants {key}: s={s:.6g} t={t:.6g}"
               + ("" if good else " (internal parameters must be positive)"))
     if not ok:
         print("SKIP consistency checks: failures above")
@@ -228,14 +228,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    # a command's objects form no cycles: the cyclic collector would walk them for nothing
+    collecting = gc.isenabled()
+    gc.disable()
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (CoordinateError, OSError) as err:
         if os.environ.get("CONVEXPROJ_VERBOSE"):
             traceback.print_exc()
         print(f"error: {err}", file=sys.stderr)
         return err.exit_code if isinstance(err, CoordinateError) else 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

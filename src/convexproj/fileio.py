@@ -40,9 +40,9 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _string
-from math import isfinite
+from math import fsum, isfinite
 
-from .errors import DomainViolation, SchemaError, located
+from .errors import CoordinateError, DomainViolation, SchemaError, located
 from .pants import FGPants
 from .spectral import BoundaryInvariant
 from .surface import (
@@ -75,8 +75,6 @@ def _fail(path: str, message: str):
 
 
 def _expect_object(value, path: str, required: frozenset[str]) -> dict:
-    if type(value) is dict and value.keys() == required:
-        return value
     if not isinstance(value, dict):
         _fail(path, f"expected an object, got {type(value).__name__}")
     unknown = set(value) - required
@@ -89,15 +87,13 @@ def _expect_object(value, path: str, required: frozenset[str]) -> dict:
 
 
 def _expect_number(value, path: str) -> float:
-    if type(value) is float and isfinite(value):
-        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"expected a number, got {value!r}")
     try:
         number = float(value)
     except OverflowError:
         _fail(path, "number is too large for a float")
-    if number != number or number in (float("inf"), float("-inf")):
+    if not isfinite(number):
         _fail(path, "number must be finite")
     return number
 
@@ -110,83 +106,58 @@ def _expect_slot(value, path: str, k: int) -> tuple[str, int]:
     return (value[0], value[1])
 
 
+# The numbers of an internal curve's, a boundary curve's and a pants' entry in
+# each system, in the order they are read and written; a sigma field holds
+# three, and a bd file gives boundary curves no entry.
+_LAYOUTS = {
+    GOLDMAN: (("lambda", "tau", "u", "v"), ("lambda", "tau"), ("s", "t")),
+    BD: (("sigma1_C", "sigma2_C"), (), ("sigma1", "sigma2", "tau_plus", "tau_minus")),
+}
+_TRIPLES = frozenset(("sigma1", "sigma2"))
+
+
+@dataclass(frozen=True)
+class GoldmanValues:
+    """A goldman file's numbers: unchecked (lambda, tau), (u, v) and (s, t) pairs."""
+
+    curves: dict[str, tuple[float, float]]
+    uv: dict[str, tuple[float, float]]
+    pants: dict[str, tuple[float, float]]
+
+
 @dataclass
 class CoordinateFile:
-    """Parsed coordinate file: combinatorics plus raw numeric values.
-
-    Raw values are kept so that out-of-domain data can still be inspected
-    and reported; ``goldman()`` / ``bd()`` build the typed bundles and raise
-    the corresponding domain errors.
-    """
+    """Parsed coordinate file: the combinatorics plus its system's ``SurfaceBD`` or
+    ``GoldmanValues``; ``goldman()`` checks each (lambda, tau) window."""
 
     decomposition: PantsDecomposition
     system: str
-    curve_values: dict[str, dict[str, float]]
-    pants_values: dict[str, dict]
+    values: GoldmanValues | SurfaceBD
 
     def goldman(self) -> SurfaceGoldman:
         if self.system != GOLDMAN:
             raise SchemaError(f"file holds {self.system!r} values, not goldman")
+        values = self.values
         curves = {}
-        for key, entry in self.curve_values.items():
+        for key, (lam, tau) in values.curves.items():
             with located(f"values.curves[{key!r}]"):
-                curves[key] = BoundaryInvariant(entry["lambda"], entry["tau"])
-        uv = {
-            key: (entry["u"], entry["v"])
-            for key, entry in self.curve_values.items()
-            if "u" in entry
-        }
-        pants = {key: (entry["s"], entry["t"]) for key, entry in self.pants_values.items()}
-        return SurfaceGoldman(curves, uv, pants)
+                curves[key] = BoundaryInvariant(lam, tau)
+        return SurfaceGoldman(curves, values.uv, values.pants)
 
     def bd(self) -> SurfaceBD:
         if self.system != BD:
             raise SchemaError(f"file holds {self.system!r} values, not bd")
-        pants = {
-            key: FGPants(
-                tuple(entry["sigma1"]),
-                tuple(entry["sigma2"]),
-                entry["tau_plus"],
-                entry["tau_minus"],
-            )
-            for key, entry in self.pants_values.items()
-        }
-        shears = {
-            key: (entry["sigma1_C"], entry["sigma2_C"])
-            for key, entry in self.curve_values.items()
-        }
-        return SurfaceBD(pants, shears)
-
-
-def _expect_arc(left, right, path: str) -> ArcData:
-    try:
-        return ArcData(left, right)
-    except ValueError as err:
-        _fail(path, str(err))
-
-
-def _is_float_triple(value) -> bool:
-    """Whether ``value`` is a list of three finite floats of exact type."""
-    return (type(value) is list and len(value) == 3
-            and type(value[0]) is float and type(value[1]) is float and type(value[2]) is float
-            and isfinite(value[0]) and isfinite(value[1]) and isfinite(value[2]))
-
-
-def _expect_triple(seq, path: str) -> list[float]:
-    if not isinstance(seq, list) or len(seq) != 3:
-        _fail(path, "expected a list of three numbers")
-    return [_expect_number(v, f"{path}[{i}]") for i, v in enumerate(seq)]
+        return self.values
 
 
 # Every gluing with the same arc indices shares one ArcData.
 _ARCS = {(left, right): ArcData(left, right) for left in (1, 2, 3) for right in (1, 2, 3)}
 
 
-# The parsers test each value's exact type inline (slots in _expect_slot): True
-# and 1.0 equal 1 but are not slot or arc indices, and an int is a number that
-# still has to become a float.  A value that fails its test goes to the _expect_*
-# helper that reports it (or converts the int), so a JSON path is formatted only
-# in that branch.
+# The parsers test each value's exact type inline: True and 1.0 equal 1 but are not
+# slot or arc indices, and an int is a number that still has to become a float.  A
+# value that fails goes to the _expect_* helper that reports it (or converts the
+# int), so a JSON path is formatted only in that branch.
 def _parse_surface(raw) -> PantsDecomposition:
     surface = _expect_object(raw, "surface", _SURFACE_FIELDS)
     pants = surface["pants"]
@@ -205,8 +176,11 @@ def _parse_surface(raw) -> PantsDecomposition:
             _expect_object(arc, f"surface.gluings[{k}].arc", _ARC_FIELDS)
         left, right = arc["left"], arc["right"]
         arc = _ARCS.get((left, right)) if type(left) is int and type(right) is int else None
-        if arc is None:
-            arc = _expect_arc(left, right, f"surface.gluings[{k}].arc")
+        if arc is None:  # ArcData words the fault
+            try:
+                ArcData(left, right)
+            except ValueError as err:
+                _fail(f"surface.gluings[{k}].arc", str(err))
         plus = _expect_slot(plus, "surface.gluings[%d].plus", k)
         minus = _expect_slot(minus, "surface.gluings[%d].minus", k)
         gluings.append(Gluing(curve, plus, minus, arc))
@@ -223,25 +197,42 @@ def _parse_surface(raw) -> PantsDecomposition:
     return build_decomposition(pants, gluings, boundaries)
 
 
-def _parse_values(raw, system: str, d: PantsDecomposition):
+def _pair(entry: dict, first: str, second: str, path: str, key: str) -> tuple[float, float]:
+    """The entry's numbers ``first`` and ``second``, as finite floats; ``path % key``
+    is the entry's JSON path, formatted only for a fault."""
+    a, b = entry[first], entry[second]
+    # two finite floats can overflow their sum, but the sum is finite only if both are
+    if type(a) is float and type(b) is float and isfinite(a + b):
+        return (a, b)
+    path %= key
+    return (_expect_number(a, f"{path}.{first}"), _expect_number(b, f"{path}.{second}"))
+
+
+def _triple(entry: dict, name: str, key: str) -> tuple[float, float, float]:
+    """The pants entry's list of three numbers named ``name``, as finite floats."""
+    value = entry[name]
+    if type(value) is list and len(value) == 3:
+        a, b, c = value
+        if type(a) is float and type(b) is float and type(c) is float and isfinite(a + b + c):
+            return (a, b, c)
+        return tuple(_expect_number(v, f"values.pants[{key!r}].{name}[{i}]")
+                     for i, v in enumerate(value))
+    _fail(f"values.pants[{key!r}].{name}", "expected a list of three numbers")
+
+
+def _parse_values(raw, system: str, d: PantsDecomposition) -> GoldmanValues | SurfaceBD:
     values = _expect_object(raw, "values", _VALUES_FIELDS)
     internal = set(d.internal_curves())
     all_curves = set(d.curve_names())
     pants_keys = set(d.pants)
-    # the numbers of each entry, in the order they are written; a bd file
-    # gives boundary curves none
-    if system == GOLDMAN:
-        internal_fields, boundary_fields = ("lambda", "tau", "u", "v"), ("lambda", "tau")
-        pants_fields = ("s", "t")
-    else:
-        internal_fields, boundary_fields = ("sigma1_C", "sigma2_C"), ()
-        pants_fields = ("sigma1", "sigma2", "tau_plus", "tau_minus")
-    required = {fields: frozenset(fields) for fields in (internal_fields, boundary_fields, pants_fields)}
+    internal_fields, boundary_fields, pants_fields = _LAYOUTS[system]
+    required = {fields: frozenset(fields) for fields in _LAYOUTS[system]}
 
     curves_raw = values["curves"]
     if type(curves_raw) is not dict:
         _fail("values.curves", "expected an object keyed by curve")
-    curve_values: dict[str, dict[str, float]] = {}
+    curves: dict[str, tuple[float, float]] = {}
+    uv: dict[str, tuple[float, float]] = {}
     for key, entry in curves_raw.items():
         if key in internal:
             fields = internal_fields
@@ -253,39 +244,32 @@ def _parse_values(raw, system: str, d: PantsDecomposition):
             _fail(f"values.curves[{key!r}]", "bd files carry values for internal curves only")
         if type(entry) is not dict or entry.keys() != required[fields]:
             _expect_object(entry, f"values.curves[{key!r}]", required[fields])
-        parsed = curve_values[key] = {}
-        for name in fields:
-            number = entry[name]
-            if type(number) is not float or not isfinite(number):
-                number = _expect_number(number, f"values.curves[{key!r}].{name}")
-            parsed[name] = number
-    expected = all_curves if system == GOLDMAN else internal
-    missing = expected - curve_values.keys()
+        # every curve layout starts with a pair: (lambda, tau) or the shears
+        curves[key] = _pair(entry, *fields[:2], "values.curves[%r]", key)
+        if len(fields) == 4:
+            uv[key] = _pair(entry, "u", "v", "values.curves[%r]", key)
+    missing = (all_curves if system == GOLDMAN else internal) - curves.keys()
     if missing:
         _fail("values.curves", f"missing entries for curves {sorted(missing)!r}")
 
     pants_raw = values["pants"]
     if type(pants_raw) is not dict:
         _fail("values.pants", "expected an object keyed by pants")
-    pants_values: dict[str, dict] = {}
+    pants: dict = {}
     for key, entry in pants_raw.items():
         if key not in pants_keys:
             _fail(f"values.pants[{key!r}]", "pants does not exist in the surface")
         if type(entry) is not dict or entry.keys() != required[pants_fields]:
             _expect_object(entry, f"values.pants[{key!r}]", required[pants_fields])
-        parsed = pants_values[key] = {}
-        for name in pants_fields:
-            value = entry[name]
-            if name in ("sigma1", "sigma2"):
-                if not _is_float_triple(value):
-                    value = _expect_triple(value, f"values.pants[{key!r}].{name}")
-            elif type(value) is not float or not isfinite(value):
-                value = _expect_number(value, f"values.pants[{key!r}].{name}")
-            parsed[name] = value
-    missing = pants_keys - pants_values.keys()
+        if system == GOLDMAN:
+            pants[key] = _pair(entry, "s", "t", "values.pants[%r]", key)
+        else:
+            pants[key] = FGPants(_triple(entry, "sigma1", key), _triple(entry, "sigma2", key),
+                                 *_pair(entry, "tau_plus", "tau_minus", "values.pants[%r]", key))
+    missing = pants_keys - pants.keys()
     if missing:
         _fail("values.pants", f"missing entries for pants {sorted(missing)!r}")
-    return curve_values, pants_values
+    return GoldmanValues(curves, uv, pants) if system == GOLDMAN else SurfaceBD(pants, curves)
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -297,12 +281,12 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
-def loads(text: str) -> CoordinateFile:
+def _decode(text: str, object_pairs_hook) -> CoordinateFile:
     def reject_constant(token):
         raise SchemaError(f"non-finite number {token!r} is not allowed")
 
     try:
-        raw = json.loads(text, parse_constant=reject_constant, object_pairs_hook=_unique_keys)
+        raw = json.loads(text, parse_constant=reject_constant, object_pairs_hook=object_pairs_hook)
     except (ValueError, RecursionError) as err:
         # JSONDecodeError, an integer literal beyond Python's digit limit, or too deep nesting
         raise SchemaError(f"invalid JSON: {err}") from err
@@ -313,8 +297,29 @@ def loads(text: str) -> CoordinateFile:
     if system not in (GOLDMAN, BD):
         _fail("system", f"expected 'goldman' or 'bd', got {system!r}")
     d = _parse_surface(top["surface"])
-    curve_values, pants_values = _parse_values(top["values"], system, d)
-    return CoordinateFile(d, system, curve_values, pants_values)
+    return CoordinateFile(d, system, _parse_values(top["values"], system, d))
+
+
+def _members(cf: CoordinateFile) -> int:
+    """How many name-value pairs the objects of the file's document hold."""
+    d, (internal, boundary, pants) = cf.decomposition, _LAYOUTS[cf.system]
+    # 9 in the top, surface and values objects, 6 per gluing, 2 per boundary, 1 per entry
+    return (9 + (7 + len(internal)) * len(d.gluings) + (1 + len(pants)) * len(d.pants)
+            + (2 + (1 + len(boundary) if boundary else 0)) * len(d.boundaries))
+
+
+def loads(text: str) -> CoordinateFile:
+    # The duplicate-key hook is a Python call per JSON object, so a text is first decoded
+    # without it.  A colon outside a string ends a name: a file with as many colons as
+    # members repeats no name.  Any other text decodes again with the hook, which
+    # reports the first fault in document order.
+    try:
+        cf = _decode(text, None)
+        if text.count(":") == _members(cf):
+            return cf
+    except CoordinateError:
+        pass
+    return _decode(text, _unique_keys)
 
 
 def load_file(path) -> CoordinateFile:
@@ -327,30 +332,12 @@ def load_file(path) -> CoordinateFile:
 
 
 def file_from_goldman(d: PantsDecomposition, g: SurfaceGoldman) -> CoordinateFile:
-    curve_values = {}
-    for key, inv in g.curves.items():
-        entry = {"lambda": inv.lam, "tau": inv.tau}
-        if key in g.uv:
-            entry["u"], entry["v"] = g.uv[key]
-        curve_values[key] = entry
-    pants_values = {key: {"s": s, "t": t} for key, (s, t) in g.pants.items()}
-    return CoordinateFile(d, GOLDMAN, curve_values, pants_values)
+    curves = {key: (inv.lam, inv.tau) for key, inv in g.curves.items()}
+    return CoordinateFile(d, GOLDMAN, GoldmanValues(curves, g.uv, g.pants))
 
 
 def file_from_bd(d: PantsDecomposition, b: SurfaceBD) -> CoordinateFile:
-    curve_values = {
-        key: {"sigma1_C": s1, "sigma2_C": s2} for key, (s1, s2) in b.curve_shears.items()
-    }
-    pants_values = {
-        key: {
-            "sigma1": list(f.sigma1),
-            "sigma2": list(f.sigma2),
-            "tau_plus": f.tau_plus,
-            "tau_minus": f.tau_minus,
-        }
-        for key, f in b.pants.items()
-    }
-    return CoordinateFile(d, BD, curve_values, pants_values)
+    return CoordinateFile(d, BD, b)
 
 
 def _container(brackets: str, items: list[str], level: int) -> str:
@@ -358,7 +345,7 @@ def _container(brackets: str, items: list[str], level: int) -> str:
     if not items:
         return brackets
     inner = "\n" + "  " * (level + 1)
-    return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * level + brackets[1]
+    return "".join((brackets[0], inner, ("," + inner).join(items), "\n", "  " * level, brackets[1]))
 
 
 def _number(value) -> str:
@@ -397,41 +384,50 @@ def _surface_json(d: PantsDecomposition) -> str:
     ], 1)
 
 
-def _value_json(group: str, key: str, name: str, value) -> str:
-    """A value that is neither an exact finite float nor a list of three: ints,
-    numpy floats, other lists, and the non-finite values it refuses."""
-    if isinstance(value, list):
-        finite = all(map(isfinite, value))
-        text = _container("[]", [_number(v) for v in value], 4)
+_TEMPLATES = {
+    names: "%s: " + _container("{}", [
+        _string(name) + ": " + (_TRIPLE if name in _TRIPLES else "%s") for name in names
+    ], 3)
+    for layouts in _LAYOUTS.values() for names in layouts if names
+}
+
+
+def _entry_json(group: str, key: str, names: tuple[str, ...], numbers) -> str:
+    """One entry of ``values.<group>``: the numbers of the fields ``names``, in order."""
+    try:
+        # fsum is finite only if each number is; float.__repr__ refuses an int
+        if isfinite(fsum(numbers)):
+            return _TEMPLATES[names] % (_string(key), *map(float.__repr__, numbers))
+    except (TypeError, ValueError, OverflowError):
+        pass
+    texts = []
+    for name in names:
+        field = numbers[len(texts):len(texts) + (3 if name in _TRIPLES else 1)]
+        if not all(isfinite(v) for v in field if isinstance(v, float)):
+            # conversions and flows can leave the float range; flow amounts may be nan
+            bad = list(field) if name in _TRIPLES else field[0]
+            raise DomainViolation(f"values.{group}[{key!r}].{name}: {bad!r} is not a finite number")
+        texts += map(_number, field)
+    return _TEMPLATES[names] % (_string(key), *texts)
+
+
+def _values_json(cf: CoordinateFile) -> str:
+    values = cf.values
+    internal, boundary, fields = _LAYOUTS[cf.system]
+    if cf.system == GOLDMAN:
+        curves = [_entry_json("curves", key, internal, (*pair, *values.uv[key]))
+                  if key in values.uv else _entry_json("curves", key, boundary, pair)
+                  for key, pair in values.curves.items()]
+        pants = [_entry_json("pants", key, fields, st) for key, st in values.pants.items()]
     else:
-        finite = isfinite(value)
-        text = _number(value)
-    if not finite:
-        # a conversion or flow can carry a value past the float range; flow amounts may be nan
-        raise DomainViolation(f"values.{group}[{key!r}].{name}: {value!r} is not a finite number")
-    return text
-
-
-def _values_json(group: str, entries: dict[str, dict]) -> str:
-    templates: dict[tuple[str, ...], str] = {}
-    items = []
-    for key, entry in entries.items():
-        texts = []
-        for name, value in entry.items():
-            if type(value) is float and isfinite(value):
-                texts.append(float.__repr__(value))
-            elif _is_float_triple(value):
-                texts.append(_TRIPLE % (float.__repr__(value[0]), float.__repr__(value[1]),
-                                        float.__repr__(value[2])))
-            else:
-                texts.append(_value_json(group, key, name, value))
-        names = tuple(entry)
-        template = templates.get(names)
-        if template is None:
-            fields = [_string(name).replace("%", "%%") + ": %s" for name in names]
-            template = templates[names] = "%s: " + _container("{}", fields, 3)
-        items.append(template % (_string(key), *texts))
-    return _container("{}", items, 2)
+        curves = [_entry_json("curves", key, internal, shears)
+                  for key, shears in values.curve_shears.items()]
+        pants = [_entry_json("pants", key, fields, (*f.sigma1, *f.sigma2, f.tau_plus, f.tau_minus))
+                 for key, f in values.pants.items()]
+    return _container("{}", [
+        '"curves": ' + _container("{}", curves, 2),
+        '"pants": ' + _container("{}", pants, 2),
+    ], 1)
 
 
 def dumps(cf: CoordinateFile) -> str:
@@ -440,10 +436,7 @@ def dumps(cf: CoordinateFile) -> str:
         f'"schema_version": {_string(SCHEMA_VERSION)}',
         '"surface": ' + _surface_json(cf.decomposition),
         f'"system": {_string(cf.system)}',
-        '"values": ' + _container("{}", [
-            '"curves": ' + _values_json("curves", cf.curve_values),
-            '"pants": ' + _values_json("pants", cf.pants_values),
-        ], 1),
+        '"values": ' + _values_json(cf),
     ], 0) + "\n"
 
 

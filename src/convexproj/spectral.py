@@ -43,6 +43,8 @@ class WindowCheck(NamedTuple):
 # NamedTuple's own constructor calls, without a Python-level call per result.
 _new = tuple.__new__
 _REAL = (int, float)
+# The largest float: nan, the infinities and larger ints are not finite reals.
+_FLOAT_MAX = 1.7976931348623157e308
 
 
 def check_window(lam: float, tau: float) -> WindowCheck:
@@ -51,17 +53,17 @@ def check_window(lam: float, tau: float) -> WindowCheck:
     Total: never raises. The returned object is truthy iff the pair is
     admissible; otherwise ``failures`` names each violated bound.
     """
-    if not (isinstance(lam, _REAL) and math.isfinite(lam) and lam > 0):
+    if not (isinstance(lam, _REAL) and 0 < lam <= _FLOAT_MAX):
         return _new(WindowCheck, (math.nan, math.nan,
                                   (f"lambda must be a positive finite real, got {lam!r}",)))
     lower = 2.0 / math.sqrt(lam)
-    square = lam * lam
-    # lam below about 1.5e-162 squares to 0.0: the upper bound is then infinite
+    # a large int lam squares to inf, a lam below about 1.5e-162 to 0.0 (upper is then inf)
+    square = float(lam) * lam
     upper = lam + 1.0 / square if square else math.inf
     failures = ()
     if lam >= 1.0:
         failures += (f"lambda={lam!r} is not below 1",)
-    if not (isinstance(tau, _REAL) and math.isfinite(tau)):
+    if not (isinstance(tau, _REAL) and -_FLOAT_MAX <= tau <= _FLOAT_MAX):
         failures += (f"tau must be a finite real, got {tau!r}",)
     else:
         if tau - lower <= EDGE_TOL:

@@ -175,9 +175,10 @@ def build_decomposition(pants, gluings, boundaries) -> PantsDecomposition:
         neighbours[g.minus[0]].append(g.plus[0])
     reached, frontier = {pants[0]}, [pants[0]]
     while frontier:
-        fresh = [p for p in neighbours[frontier.pop()] if p not in reached]
-        reached.update(fresh)
-        frontier += fresh
+        for p in neighbours[frontier.pop()]:
+            if p not in reached:
+                reached.add(p)
+                frontier.append(p)
     if len(reached) != len(pants):
         unreached = [p for p in pants if p not in reached]
         raise CountMismatch(f"the surface is not connected: no gluings lead from "
@@ -261,18 +262,13 @@ class CurveClosure:
     """Length comparison across one internal curve.
 
     Reversing orientation swaps the two length functions, so the plus-side
-    ell1 must match the minus-side ell2 and vice versa.
+    ell1 must match the minus-side ell2 and vice versa; ``residuals`` holds
+    the two differences.
     """
 
     plus_lengths: LengthPair
     minus_lengths: LengthPair
-
-    @property
-    def residuals(self) -> tuple[float, float]:
-        return (
-            abs(self.plus_lengths.ell1 - self.minus_lengths.ell2),
-            abs(self.plus_lengths.ell2 - self.minus_lengths.ell1),
-        )
+    residuals: tuple[float, float]
 
     @property
     def ok(self) -> bool:
@@ -302,8 +298,9 @@ def validate_closure(d: PantsDecomposition, b: SurfaceBD) -> ClosureReport:
     _check_bd_keys(d, b)
     lengths = {(key, k): pair
                for key, f in b.pants.items() for k, pair in enumerate(boundary_lengths(f))}
-    return ClosureReport({g.curve: CurveClosure(lengths[g.plus], lengths[g.minus])
-                          for g in d.gluings})
+    sides = [(g.curve, lengths[g.plus], lengths[g.minus]) for g in d.gluings]
+    return ClosureReport({curve: CurveClosure(p, m, (abs(p.ell1 - m.ell2), abs(p.ell2 - m.ell1)))
+                          for curve, p, m in sides})
 
 
 def bd_to_goldman(d: PantsDecomposition, b: SurfaceBD) -> SurfaceGoldman:

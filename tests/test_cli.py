@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import gc
 import io
 import json
 import os
@@ -8,11 +9,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convexproj import cli, errors, flags
+from convexproj import cli, errors, fileio, flags
+from convexproj.sampling import random_surface_goldman
+from convexproj.surface import Gluing, build_decomposition, goldman_to_bd
 
 REPO = Path(__file__).resolve().parent.parent
 SAMPLES = REPO / "samples"
@@ -685,3 +689,79 @@ class TestParser:
         assert [r.returncode for r in alone] == [2, 0, 0]
         assert together == [(r.returncode, r.stdout, r.stderr) for r in alone]
         assert (tmp_path / "together.json").read_bytes() == (tmp_path / "alone.json").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def genus50(tmp_path_factory):
+    """A goldman and a bd file of one closed genus-50 ring chain (98 pants)."""
+    n = 98
+    pants = [f"P{i}" for i in range(n)]
+    gluings = [Gluing(f"r{i}", (pants[i], 1), (pants[(i + 1) % n], 0)) for i in range(n)]
+    gluings += [Gluing(f"s{k}", (pants[2 * k], 2), (pants[2 * k + 1], 2)) for k in range(n // 2)]
+    d = build_decomposition(pants, gluings, [])
+    g = random_surface_goldman(d, np.random.default_rng(50))
+    work = tmp_path_factory.mktemp("genus50")
+    goldman, bd = work / "goldman.json", work / "bd.json"
+    fileio.save_file(goldman, fileio.file_from_goldman(d, g))
+    fileio.save_file(bd, fileio.file_from_bd(d, goldman_to_bd(d, g)))
+    return goldman, bd
+
+
+class TestCollectorPause:
+    """cli.main runs each command with the cyclic collector paused."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("argv, code, loads", [
+        (("validate", SAMPLES / "torus_goldman.json"), 0, 1),
+        (("flow", SAMPLES / "torus_goldman.json", "--curve", "zz", "--twist", "1", "out.json"),
+         errors.UnknownCurve.exit_code, 1),
+        (("convert", SAMPLES / "pants_goldman.json", "--to", "cube", "out.json"), 2, 0),
+    ], ids=["success", "coordinate_error", "argparse_exit"])
+    def test_main_restores_the_callers_setting(self, monkeypatch, tmp_path, enabled, argv, code,
+                                               loads):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("CONVEXPROJ_VERBOSE", raising=False)
+        during = []
+        load_file = fileio.load_file
+
+        def recording(path):
+            during.append(gc.isenabled())
+            return load_file(path)
+
+        monkeypatch.setattr(fileio, "load_file", recording)
+        before = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    got = cli.main([str(a) for a in argv])
+                except SystemExit as stop:
+                    got = stop.code
+            after = gc.isenabled()
+        finally:
+            (gc.enable if before else gc.disable)()
+        assert got == code
+        assert after is enabled
+        assert during == [False] * loads
+
+    @pytest.mark.parametrize("command", [
+        "convert_to_bd", "convert_to_goldman", "validate_goldman", "validate_bd", "flow",
+        "oracle_monodromy", "render",
+    ])
+    def test_command_leaves_no_cyclic_garbage(self, genus50, tmp_path, command):
+        goldman, bd = genus50
+        argv = {
+            "convert_to_bd": ("convert", goldman, "--to", "bd", tmp_path / "out.json"),
+            "convert_to_goldman": ("convert", bd, "--to", "goldman", tmp_path / "out.json"),
+            "validate_goldman": ("validate", goldman),
+            "validate_bd": ("validate", bd),
+            "flow": ("flow", bd, "--curve", "r3", "--twist", "0.25", tmp_path / "out.json"),
+            "oracle_monodromy": ("oracle", bd, "--monodromy"),
+            "render": ("render", bd, "--pants", "P0", tmp_path / "out.svg"),
+        }[command]
+        # the first parse_args of a process leaves argparse's formatter objects once
+        assert run_main(*argv)[0] == 0
+        gc.collect()
+        assert run_main(*argv)[0] == 0
+        # the collector, resumed, finds nothing the command left unfreed
+        assert gc.collect() == 0

@@ -19,10 +19,12 @@ from convexproj.errors import (
     SlotReuse,
     WindowViolation,
 )
-from convexproj.sampling import random_surface_goldman
+from convexproj.pants import FGPants
+from convexproj.sampling import random_fg_pants, random_surface_goldman
 from convexproj.surface import (
     BoundarySlot,
     Gluing,
+    SurfaceBD,
     bd_to_goldman,
     build_decomposition,
     goldman_to_bd,
@@ -551,6 +553,47 @@ class TestLinearInPants:
             assert built[-1].scans <= 2, cf.system
 
 
+def document_values(cf: fileio.CoordinateFile) -> dict:
+    """The ``values`` object of the file's document, as dicts and lists."""
+    values = cf.values
+    if cf.system == fileio.GOLDMAN:
+        curves = {}
+        for key, (lam, tau) in values.curves.items():
+            curves[key] = {"lambda": lam, "tau": tau}
+            if key in values.uv:
+                curves[key]["u"], curves[key]["v"] = values.uv[key]
+        pants = {key: {"s": s, "t": t} for key, (s, t) in values.pants.items()}
+    else:
+        curves = {key: {"sigma1_C": s1, "sigma2_C": s2}
+                  for key, (s1, s2) in values.curve_shears.items()}
+        pants = {key: {"sigma1": list(f.sigma1), "sigma2": list(f.sigma2),
+                       "tau_plus": f.tau_plus, "tau_minus": f.tau_minus}
+                 for key, f in values.pants.items()}
+    return {"curves": curves, "pants": pants}
+
+
+def bundle_file(d, system: str, values: dict) -> fileio.CoordinateFile:
+    """The file whose bundle holds the numbers of a ``values`` object."""
+    curves, pants = values["curves"], values["pants"]
+    if system == fileio.GOLDMAN:
+        return fileio.CoordinateFile(d, system, fileio.GoldmanValues(
+            {key: (e["lambda"], e["tau"]) for key, e in curves.items()},
+            {key: (e["u"], e["v"]) for key, e in curves.items() if "u" in e},
+            {key: (e["s"], e["t"]) for key, e in pants.items()},
+        ))
+    fg = {}
+    for key, e in pants.items():
+        # set past FGPants's own check, so that the writer meets the non-finite
+        # values that a conversion or flow could carry
+        fg[key] = object.__new__(FGPants)
+        for name in ("sigma1", "sigma2"):
+            object.__setattr__(fg[key], name, tuple(e[name]))
+        for name in ("tau_plus", "tau_minus"):
+            object.__setattr__(fg[key], name, e[name])
+    shears = {key: (e["sigma1_C"], e["sigma2_C"]) for key, e in curves.items()}
+    return fileio.CoordinateFile(d, system, SurfaceBD(fg, shears))
+
+
 def reference_dumps(cf: fileio.CoordinateFile) -> str:
     """The writer's reference: the document built as dicts and lists, through json.dumps."""
     d = cf.decomposition
@@ -571,7 +614,7 @@ def reference_dumps(cf: fileio.CoordinateFile) -> str:
         "schema_version": fileio.SCHEMA_VERSION,
         "surface": surface,
         "system": cf.system,
-        "values": {"curves": cf.curve_values, "pants": cf.pants_values},
+        "values": document_values(cf),
     }
     return json.dumps(document, indent=2, allow_nan=False) + "\n"
 
@@ -629,7 +672,7 @@ def coordinate_files(draw) -> fileio.CoordinateFile:
     if boundary_fields:
         curve_values.update((b.curve, entry(boundary_fields)) for b in d.boundaries)
     pants_values = {key: entry(pants_fields) for key in d.pants}
-    return fileio.CoordinateFile(d, system, curve_values, pants_values)
+    return bundle_file(d, system, {"curves": curve_values, "pants": pants_values})
 
 
 class TestWriter:
@@ -641,8 +684,9 @@ class TestWriter:
     @given(coordinate_files(), st.data())
     @settings(max_examples=200, derandomize=True, database=None, deadline=None)
     def test_non_finite_value_names_its_path(self, cf, data):
+        values = document_values(cf)
         group, entries = data.draw(
-            st.sampled_from([("curves", cf.curve_values), ("pants", cf.pants_values)])
+            st.sampled_from([("curves", values["curves"]), ("pants", values["pants"])])
             .filter(lambda pair: pair[1])
         )
         key = data.draw(st.sampled_from(list(entries)))
@@ -652,9 +696,85 @@ class TestWriter:
             entries[key][name][data.draw(st.integers(0, 2))] = bad
         else:
             entries[key][name] = bad
+        cf = bundle_file(cf.decomposition, cf.system, values)
         with pytest.raises(ValueError):
             reference_dumps(cf)
         message = f"values.{group}[{key!r}].{name}: {entries[key][name]!r} is not a finite number"
         with pytest.raises(DomainViolation) as raised:
             fileio.dumps(cf)
         assert str(raised.value) == message
+
+
+SURFACES = [torus_file().decomposition, ring_chain(3), ring_chain(20)]
+
+
+class TestParseOnce:
+    """A file parses into one typed bundle, which its views and the writer use as they find it."""
+
+    def test_bd_returns_the_stored_bundle(self):
+        d = torus_file().decomposition
+        cf = fileio.loads(fileio.dumps(fileio.file_from_bd(d, goldman_to_bd(d, torus_file().goldman()))))
+        assert cf.bd() is cf.bd()
+        assert cf.bd() is cf.values
+
+    def test_file_from_bd_wraps_the_bundle(self):
+        d = torus_file().decomposition
+        b = goldman_to_bd(d, torus_file().goldman())
+        assert fileio.file_from_bd(d, b).bd() is b
+
+    def test_goldman_shares_the_files_dicts(self):
+        cf = torus_file()
+        g = cf.goldman()
+        assert g.uv is cf.values.uv
+        assert g.pants is cf.values.pants
+        d = cf.decomposition
+        written = fileio.file_from_goldman(d, g)
+        assert written.values.uv is g.uv and written.values.pants is g.pants
+
+    def test_out_of_window_curve_loads_and_views_raise(self):
+        data = json.loads((SAMPLES / "genus2_goldman.json").read_text())
+        data["values"]["curves"]["c2"]["tau"] = 4.0
+        cf = fileio.loads(json.dumps(data))
+        assert cf.values.curves["c2"] == (data["values"]["curves"]["c2"]["lambda"], 4.0)
+        with pytest.raises(WindowViolation, match=r"^values\.curves\['c2'\]: "):
+            cf.goldman()
+
+    @given(st.sampled_from(SURFACES), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    def test_dumps_of_loads_is_the_identity(self, d, seed):
+        rng = np.random.default_rng(seed)
+        g = random_surface_goldman(d, rng)
+        shears = {key: tuple(rng.uniform(-2.0, 2.0, 2)) for key in d.internal_curves()}
+        for cf in (fileio.file_from_goldman(d, g), fileio.file_from_bd(d, goldman_to_bd(d, g)),
+                   # numpy floats, as the shear sampler draws them
+                   fileio.file_from_bd(d, SurfaceBD(
+                       {key: random_fg_pants(rng) for key in d.pants}, shears))):
+            text = fileio.dumps(cf)
+            assert fileio.dumps(fileio.loads(text)) == text
+
+    def test_valid_file_decodes_without_the_duplicate_key_hook(self, monkeypatch):
+        text = (SAMPLES / "genus2_goldman.json").read_text()
+
+        def refuse(pairs):
+            raise AssertionError("the hook ran")
+
+        monkeypatch.setattr(fileio, "_unique_keys", refuse)
+        assert fileio.dumps(fileio.loads(text)) == text
+
+    @pytest.mark.parametrize("text, message", [
+        # a repeat inside a valid file, and a repeat that a later fault does not hide
+        (lambda t: t.replace('"s": 1.0', '"s": 2.0, "s": 1.0'), "duplicate keys ['s'] in one object"),
+        (lambda t: t.replace('"s": 1.0', '"s": 1.0, "s": 1.0').replace('"curves"', '"curve"'),
+         "duplicate keys ['s'] in one object"),
+    ], ids=["valid_otherwise", "before_a_schema_fault"])
+    def test_repeated_name_is_reported(self, text, message):
+        with pytest.raises(SchemaError) as raised:
+            fileio.loads(text((SAMPLES / "torus_goldman.json").read_text()))
+        assert str(raised.value) == message
+
+    def test_colon_in_a_key_loads(self):
+        d = ring_chain(3)
+        g = random_surface_goldman(d, np.random.default_rng(3))
+        text = fileio.dumps(fileio.file_from_goldman(d, g)).replace('"P1"', '"P:1"')
+        assert fileio.dumps(fileio.loads(text)) == text
+        assert "P:1" in fileio.loads(text).values.pants

@@ -78,6 +78,10 @@ CASES = {
     "tau_int": lambda: BoundaryInvariant(0.25, 5),
     "tau_int_at_lower": lambda: BoundaryInvariant(0.25, 4),
     "lam_and_tau_bad": lambda: BoundaryInvariant(1.5, math.nan),
+    # ints beyond the float range fail their field; a large one in range squares to inf
+    "lam_huge_int": lambda: BoundaryInvariant(10**400, 5.0),
+    "tau_huge_int": lambda: BoundaryInvariant(0.25, 10**400),
+    "lam_large_int": lambda: BoundaryInvariant(2**600, 5.0),
     # FGPants: three finite reals per sigma list, finite triangle invariants
     "fg_sigma1_nan": lambda: FGPants((-1.0, math.nan, -1.0), ONES, 0.0, 0.0),
     "fg_sigma2_inf": lambda: FGPants(ONES, (-1.0, -1.0, math.inf), 0.0, 0.0),
@@ -207,6 +211,10 @@ EXPECTED = {
         ('WindowViolation', 'tau=4 is not above the lower bound 2/sqrt(lambda)=4.0'),
     'lam_and_tau_bad':
         ('WindowViolation', 'lambda=1.5 is not below 1; tau must be a finite real, got nan'),
+    'lam_huge_int':
+        ('WindowViolation', f'lambda must be a positive finite real, got {10**400!r}'),
+    'tau_huge_int': ('WindowViolation', f'tau must be a finite real, got {10**400!r}'),
+    'lam_large_int': ('WindowViolation', f'lambda={2**600!r} is not below 1'),
     'fg_sigma1_nan': ('ValueError', 'sigma1 must hold three finite reals, got (-1.0, nan, -1.0)'),
     'fg_sigma2_inf': ('ValueError', 'sigma2 must hold three finite reals, got (-1.0, -1.0, inf)'),
     'fg_sigma1_short': ('ValueError', 'sigma1 must hold three finite reals, got (-1.0, -1.0)'),

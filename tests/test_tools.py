@@ -1,0 +1,38 @@
+"""The repository's tooling scripts run as documented."""
+
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+COMPARE = REPO / "tools" / "compare_outputs.py"
+
+
+def compare(parent, change):
+    return subprocess.run(
+        [sys.executable, str(COMPARE), str(parent), str(change),
+         "--genus", "2", "--seeds", "1", "--oracle-max-genus", "2"],
+        capture_output=True, text=True, timeout=300,
+    )
+
+
+def test_compare_outputs_finds_no_difference_between_equal_trees():
+    result = compare(REPO / "src", REPO / "src")
+    assert result.returncode == 0, result.stdout + result.stderr
+    summary = result.stdout.splitlines()[-1]
+    assert summary.endswith(" with a difference") and ": 0 with" in summary
+
+
+def test_compare_outputs_reports_each_difference(tmp_path):
+    # a copy whose validate prints another last line differs in stdout only
+    changed = tmp_path / "src"
+    shutil.copytree(REPO / "src", changed, ignore=shutil.ignore_patterns("__pycache__"))
+    cli = changed / "convexproj" / "cli.py"
+    cli.write_text(cli.read_text().replace('"all checks passed"', '"all checks pass"'))
+    result = compare(REPO / "src", changed)
+    assert result.returncode == 1
+    lines = result.stdout.splitlines()
+    assert "g2_s1.goldman.validate: stdout line" in "\n".join(lines)
+    assert all(": stdout " in line for line in lines[:-1])
+    assert not lines[-1].endswith(": 0 with a difference")

@@ -1,0 +1,193 @@
+"""Compare what two source trees of convexproj write, byte for byte.
+
+usage: python tools/compare_outputs.py PARENT_SRC CHANGE_SRC
+           [--genus 2 50 500 2000] [--seeds 1 2 3] [--oracle-max-genus 500]
+
+PARENT_SRC and CHANGE_SRC are directories holding the `convexproj` package,
+such as the `src/` of two checkouts.  The inputs are the goldman and bd
+documents of `perfbench/generate.py` (closed ring chains) for each genus and
+seed, its rejection inputs, and the files under `samples/`; they are written
+once, with PARENT_SRC's library.  On each input the script runs `convert` to
+both systems, `validate`, `flow` (a twist and a bulge), `render`, `oracle` and
+`oracle --monodromy` (the oracle only up to --oracle-max-genus), each side in
+one worker process that calls `convexproj.cli.main`.  It prints every
+difference in exit code, stdout, stderr or output file, then one summary line,
+and exits 1 when anything differs.  Nothing under `perfbench/` is changed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
+SAMPLES = os.path.join(ROOT, "samples")
+
+
+def generate(work: str, genera: list[int], seeds: list[int]) -> list[tuple[str, str]]:
+    """Write the inputs; return (name, path) pairs.  Runs in a worker process."""
+    import numpy as np
+
+    import generate as gen
+
+    inputs = []
+    for genus in genera:
+        for seed in seeds:
+            d, g = gen.closed_surface(genus, seed, "compare")
+            name = f"g{genus}_s{seed}"
+            goldman, bd = gen.goldman_document(d, g), gen.bd_document(d, g)
+            rng = np.random.default_rng([genus, seed])
+            for kind, text in (("goldman", goldman), ("bd", bd),
+                               ("reject_window", gen.reject_window(goldman, rng)),
+                               ("reject_field", gen.reject_field(goldman)),
+                               ("reject_closure", gen.reject_closure(bd, rng))):
+                inputs.append((f"{name}.{kind}", gen.write(os.path.join(work, f"{name}.{kind}.json"),
+                                                           text)))
+    return inputs
+
+
+def commands(inputs: list[tuple[str, str]], oracle_max_genus: int) -> list[tuple[str, list[str]]]:
+    """(id, argv) of every command; "{out}" in an argv is the command's output file."""
+    jobs = []
+    for name, path in inputs:
+        genus = int(name[1:name.index("_")]) if name.startswith("g") else 0
+        curve = "r1" if genus else "c1"
+        argvs = {
+            "convert_bd": ["convert", path, "--to", "bd", "{out}"],
+            "convert_goldman": ["convert", path, "--to", "goldman", "{out}"],
+            "validate": ["validate", path],
+            "twist": ["flow", path, "--curve", curve, "--twist", "0.25", "{out}"],
+            "bulge": ["flow", path, "--curve", curve, "--bulge", "-0.5", "{out}"],
+            "flow_unknown": ["flow", path, "--curve", "no_such_curve", "--twist", "1", "{out}"],
+            "render": ["render", path, "--pants", "P0", "{out}"],
+        }
+        if genus <= oracle_max_genus:
+            argvs["oracle"] = ["oracle", path]
+            argvs["oracle_monodromy"] = ["oracle", path, "--monodromy"]
+        jobs += [(f"{name}.{command}", argv) for command, argv in argvs.items()]
+    return jobs
+
+
+def run_jobs(jobs: list[tuple[str, list[str]]], out_dir: str) -> dict:
+    """Run each command through cli.main; runs in a worker process."""
+    from convexproj import cli
+
+    os.environ.pop("CONVEXPROJ_VERBOSE", None)
+    results = {}
+    for job, argv in jobs:
+        out, err = io.StringIO(), io.StringIO()
+        argv = [a.replace("{out}", os.path.join(out_dir, job)) for a in argv]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as stop:
+                code = stop.code
+            except Exception as exc:  # noqa: BLE001 - an escaped error is an output too
+                code = f"uncaught {type(exc).__name__}: {exc}"
+        results[job] = [code, out.getvalue(), err.getvalue()]
+    return results
+
+
+def worker(argv: list[str]) -> int:
+    """`--worker generate SRC WORK SPEC` or `--worker run SRC WORK SPEC`; SPEC is a JSON file."""
+    role, src, work, spec = argv
+    sys.path[:0] = [src, PERFBENCH]
+    with open(spec, encoding="utf-8") as handle:
+        request = json.load(handle)
+    if role == "generate":
+        reply = generate(work, request["genus"], request["seeds"])
+    else:
+        reply = run_jobs(request["jobs"], os.path.join(work, "out"))
+    with open(spec, "w", encoding="utf-8") as handle:
+        json.dump(reply, handle)
+    return 0
+
+
+def call_worker(role: str, src: str, work: str, request) -> object:
+    spec = os.path.join(work, f"{role}.json")
+    with open(spec, "w", encoding="utf-8") as handle:
+        json.dump(request, handle)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    subprocess.run([sys.executable, os.path.abspath(__file__), "--worker", role, src, work, spec],
+                   check=True, env=env, cwd=work)
+    with open(spec, encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def first_difference(a, b) -> str:
+    lines_a, lines_b = a.splitlines(), b.splitlines()
+    for i, (x, y) in enumerate(zip(lines_a, lines_b)):
+        if x != y:
+            return f"line {i + 1}: {x[:120]!r} != {y[:120]!r}"
+    return f"{len(lines_a)} lines != {len(lines_b)} lines"
+
+
+def read(path: str):
+    if not os.path.exists(path):
+        return None
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["--worker"]:
+        return worker(argv[1:])
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("parent_src")
+    parser.add_argument("change_src")
+    parser.add_argument("--genus", type=int, nargs="+", default=[2, 50, 500, 2000])
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    parser.add_argument("--oracle-max-genus", type=int, default=500)
+    args = parser.parse_args(argv)
+    sides = {"parent": os.path.abspath(args.parent_src), "change": os.path.abspath(args.change_src)}
+    for src in sides.values():
+        if not os.path.isfile(os.path.join(src, "convexproj", "cli.py")):
+            parser.error(f"no convexproj package under {src}")
+
+    work = tempfile.mkdtemp(prefix="compare_outputs-")
+    try:
+        inputs = [tuple(pair) for pair in call_worker(
+            "generate", sides["parent"], work, {"genus": args.genus, "seeds": args.seeds})]
+        inputs += [(f"sample.{name[:-5]}", os.path.join(SAMPLES, name))
+                   for name in sorted(os.listdir(SAMPLES))]
+        jobs = commands(inputs, args.oracle_max_genus)
+        results = {}
+        for side, src in sides.items():
+            # both sides write to the same paths, so that messages naming them agree
+            os.makedirs(os.path.join(work, "out"))
+            results[side] = call_worker("run", src, work, {"jobs": jobs})
+            os.rename(os.path.join(work, "out"), os.path.join(work, f"out.{side}"))
+        differences = 0
+        for job, _ in jobs:
+            parent, change = results["parent"][job], results["change"][job]
+            found = []
+            if parent[0] != change[0]:
+                found.append(f"exit {parent[0]!r} != {change[0]!r}")
+            for k, stream in ((1, "stdout"), (2, "stderr")):
+                if parent[k] != change[k]:
+                    found.append(f"{stream} {first_difference(parent[k], change[k])}")
+            files = [read(os.path.join(work, f"out.{side}", job)) for side in sides]
+            if files[0] != files[1]:
+                sizes = ["absent" if f is None else f"{len(f)} bytes" for f in files]
+                found.append(f"output file differs ({sizes[0]} != {sizes[1]})")
+            for line in found:
+                print(f"{job}: {line}")
+            differences += bool(found)
+        print(f"{len(jobs)} commands on {len(inputs)} inputs: "
+              f"{differences} with a difference")
+        return 1 if differences else 0
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
