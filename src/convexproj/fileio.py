@@ -37,8 +37,11 @@ Reading and writing take time linear in the number of pants.
 from __future__ import annotations
 
 import json
+import os
+import stat
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _string
 from math import fsum, isfinite
 
@@ -340,12 +343,23 @@ def file_from_bd(d: PantsDecomposition, b: SurfaceBD) -> CoordinateFile:
     return CoordinateFile(d, BD, b)
 
 
-def _container(brackets: str, items: list[str], level: int) -> str:
-    """Encoded items inside "[]" or "{}", laid out as json.dumps(indent=2) lays out that depth."""
+def _put(parts: list[str], brackets: str, items: list[str], level: int):
+    """Append the encoded ``items`` inside "[]" or "{}" to ``parts``, laid out as
+    json.dumps(indent=2) lays out that depth."""
     if not items:
-        return brackets
+        parts.append(brackets)
+        return
     inner = "\n" + "  " * (level + 1)
-    return "".join((brackets[0], inner, ("," + inner).join(items), "\n", "  " * level, brackets[1]))
+    parts.append(brackets[0] + inner)
+    parts += chain.from_iterable(zip(items, repeat("," + inner)))
+    parts[-1] = "\n" + "  " * level + brackets[1]  # in place of the last separator
+
+
+def _container(brackets: str, items: list[str], level: int) -> str:
+    """What ``_put`` appends, as one string."""
+    parts = []
+    _put(parts, brackets, items, level)
+    return "".join(parts)
 
 
 def _number(value) -> str:
@@ -364,7 +378,7 @@ _BOUNDARY = _container("{}", ['"curve": %s', '"slot": ' + _SLOT], 3)
 _TRIPLE = _container("[]", ["%s", "%s", "%s"], 4)
 
 
-def _surface_json(d: PantsDecomposition) -> str:
+def _put_surface(parts: list[str], d: PantsDecomposition):
     gluings = []
     for g in d.gluings:
         plus, minus = g.plus, g.minus
@@ -377,11 +391,13 @@ def _surface_json(d: PantsDecomposition) -> str:
     boundaries = [
         _BOUNDARY % (_string(b.curve), _string(b.slot[0]), _number(b.slot[1])) for b in d.boundaries
     ]
-    return _container("{}", [
-        '"pants": ' + _container("[]", [_string(p) for p in d.pants], 2),
-        '"gluings": ' + _container("[]", gluings, 2),
-        '"boundaries": ' + _container("[]", boundaries, 2),
-    ], 1)
+    parts.append('{\n    "pants": ')
+    _put(parts, "[]", [_string(p) for p in d.pants], 2)
+    parts.append(',\n    "gluings": ')
+    _put(parts, "[]", gluings, 2)
+    parts.append(',\n    "boundaries": ')
+    _put(parts, "[]", boundaries, 2)
+    parts.append("\n  }")
 
 
 _TEMPLATES = {
@@ -411,7 +427,7 @@ def _entry_json(group: str, key: str, names: tuple[str, ...], numbers) -> str:
     return _TEMPLATES[names] % (_string(key), *texts)
 
 
-def _values_json(cf: CoordinateFile) -> str:
+def _put_values(parts: list[str], cf: CoordinateFile):
     values = cf.values
     internal, boundary, fields = _LAYOUTS[cf.system]
     if cf.system == GOLDMAN:
@@ -424,23 +440,42 @@ def _values_json(cf: CoordinateFile) -> str:
                   for key, shears in values.curve_shears.items()]
         pants = [_entry_json("pants", key, fields, (*f.sigma1, *f.sigma2, f.tau_plus, f.tau_minus))
                  for key, f in values.pants.items()]
-    return _container("{}", [
-        '"curves": ' + _container("{}", curves, 2),
-        '"pants": ' + _container("{}", pants, 2),
-    ], 1)
+    parts.append('{\n    "curves": ')
+    _put(parts, "{}", curves, 2)
+    parts.append(',\n    "pants": ')
+    _put(parts, "{}", pants, 2)
+    parts.append("\n  }")
 
 
 def dumps(cf: CoordinateFile) -> str:
     """The file as json.dumps(document, indent=2, allow_nan=False) writes it, plus a newline."""
-    return _container("{}", [
-        f'"schema_version": {_string(SCHEMA_VERSION)}',
-        '"surface": ' + _surface_json(cf.decomposition),
-        f'"system": {_string(cf.system)}',
-        '"values": ' + _values_json(cf),
-    ], 0) + "\n"
+    # every entry goes into one list of pieces, joined once
+    parts = ['{\n  "schema_version": ', _string(SCHEMA_VERSION), ',\n  "surface": ']
+    _put_surface(parts, cf.decomposition)
+    parts += (',\n  "system": ', _string(cf.system), ',\n  "values": ')
+    _put_values(parts, cf)
+    parts.append("\n}\n")
+    return "".join(parts)
+
+
+def write_text(path, text: str):
+    """Write ``text`` to ``path`` as UTF-8 in place of what the file held.
+
+    The file is opened without truncating it: a regular file that held more
+    bytes is cut to the new length once the text is written, and a device or
+    pipe only receives the text.  A new file gets mode 0o666 less the umask.
+    Nothing is synced to disk.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", encoding="utf-8") as handle:
+        held = os.fstat(fd)
+        handle.write(text)
+        if stat.S_ISREG(held.st_mode):
+            written = handle.tell()  # flushes the text first
+            if held.st_size > written:
+                os.ftruncate(fd, written)
 
 
 def save_file(path, cf: CoordinateFile):
-    text = dumps(cf)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    # the document is complete before the file is opened: a refused value leaves it as it was
+    write_text(path, dumps(cf))

@@ -296,9 +296,13 @@ class ClosureReport:
 def validate_closure(d: PantsDecomposition, b: SurfaceBD) -> ClosureReport:
     """Per-curve closure residuals (total: never raises on finite data)."""
     _check_bd_keys(d, b)
-    lengths = {(key, k): pair
-               for key, f in b.pants.items() for k, pair in enumerate(boundary_lengths(f))}
-    sides = [(g.curve, lengths[g.plus], lengths[g.minus]) for g in d.gluings]
+    return closure_from_lengths(d, {key: boundary_lengths(f) for key, f in b.pants.items()})
+
+
+def closure_from_lengths(d: PantsDecomposition, lengths: dict[str, tuple]) -> ClosureReport:
+    """``validate_closure`` from the three ``boundary_lengths`` pairs of each pants key."""
+    sides = [(g.curve, lengths[g.plus[0]][g.plus[1]], lengths[g.minus[0]][g.minus[1]])
+             for g in d.gluings]
     return ClosureReport({curve: CurveClosure(p, m, (abs(p.ell1 - m.ell2), abs(p.ell2 - m.ell1)))
                           for curve, p, m in sides})
 

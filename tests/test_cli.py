@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convexproj import cli, errors, fileio, flags
+from convexproj.pants import boundary_lengths
 from convexproj.sampling import random_surface_goldman
 from convexproj.surface import Gluing, build_decomposition, goldman_to_bd
 
@@ -351,6 +352,19 @@ class TestValidate:
         assert result.returncode == 1
         assert "not positive" in result.stdout
 
+    def test_bd_computes_each_pants_lengths_once(self, genus50, monkeypatch):
+        _, bd = genus50
+        calls = []
+
+        def counting(f):
+            calls.append(f)
+            return boundary_lengths(f)
+
+        monkeypatch.setattr("convexproj.pants.boundary_lengths", counting)
+        monkeypatch.setattr("convexproj.surface.boundary_lengths", counting)
+        assert run_main("validate", bd) == (0, "")
+        assert len(calls) == 98
+
     def test_perturbed_closure_names_curve(self, tmp_path, torus_bd):
         data = json.loads(torus_bd.read_text())
         data["values"]["pants"]["P0"]["sigma1"][0] += 0.5
@@ -658,6 +672,61 @@ class TestErrorContract:
                          str(tmp_path / "missing" / "out.json")])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestOutputFiles:
+    """Every output is rewritten in place and cut to its new length."""
+
+    def test_render_over_a_longer_svg(self, tmp_path):
+        fresh, stale = tmp_path / "fresh.svg", tmp_path / "stale.svg"
+        stale.write_text("<!-- stale -->\n" * 10_000)
+        for out in (fresh, stale):
+            assert run_main("render", SAMPLES / "pants_bd.json", "--pants", "P0", out) == (0, "")
+        assert stale.read_bytes() == fresh.read_bytes()
+
+    def test_outputs_are_not_opened_with_o_trunc(self, tmp_path, monkeypatch):
+        opened = []
+        os_open = os.open
+
+        def recording(path, flags, *args, **kwargs):
+            opened.append(flags)
+            return os_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", recording)
+        for argv in (("convert", SAMPLES / "torus_goldman.json", "--to", "bd", tmp_path / "a.json"),
+                     ("flow", SAMPLES / "torus_goldman.json", "--curve", "c1", "--twist", "0.5",
+                      tmp_path / "b.json"),
+                     ("render", SAMPLES / "pants_bd.json", "--pants", "P0", tmp_path / "c.svg")):
+            assert run_main(*argv) == (0, "")
+        assert opened == [os.O_WRONLY | os.O_CREAT] * 3
+
+    def test_dev_null(self):
+        assert run_main("convert", SAMPLES / "pants_goldman.json", "--to", "bd", os.devnull) == (0, "")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+    def test_dev_stdout_into_a_pipe(self, tmp_path):
+        expected = tmp_path / "pants_bd.json"
+        assert run_main("convert", SAMPLES / "pants_goldman.json", "--to", "bd", expected) == (0, "")
+        result = run_cli("convert", SAMPLES / "pants_goldman.json", "--to", "bd", "/dev/stdout")
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout.encode() == expected.read_bytes()
+
+    @pytest.mark.parametrize("target, message", [
+        ("", "[Errno 21] Is a directory"),
+        ("missing/out.json", "[Errno 2] No such file or directory"),
+    ], ids=["directory", "missing_parent"])
+    def test_unwritable_target_exit_2(self, tmp_path, target, message):
+        path = os.path.join(tmp_path, target)
+        code, err = run_main("convert", SAMPLES / "pants_goldman.json", "--to", "bd", path)
+        assert (code, err) == (2, f"error: {message}: {path!r}\n")
+
+    def test_refused_flow_leaves_the_output_as_it_was(self, tmp_path):
+        out = tmp_path / "out.json"
+        out.write_bytes(b"previous contents\n")
+        code, err = run_main("flow", SAMPLES / "torus_goldman.json", "--curve", "c1",
+                             "--twist", "nan", out)
+        assert (code, err) == (3, "error: values.curves['c1'].u: nan is not a finite number\n")
+        assert out.read_bytes() == b"previous contents\n"
 
 
 class TestParser:

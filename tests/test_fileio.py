@@ -1,6 +1,8 @@
 import copy
 import json
 import math
+import os
+import stat
 from dataclasses import replace
 from pathlib import Path
 
@@ -778,3 +780,83 @@ class TestParseOnce:
         text = fileio.dumps(fileio.file_from_goldman(d, g)).replace('"P1"', '"P:1"')
         assert fileio.dumps(fileio.loads(text)) == text
         assert "P:1" in fileio.loads(text).values.pants
+
+
+class TestWriteText:
+    """Outputs are rewritten in place: opened without O_TRUNC, then cut to the new length."""
+
+    @pytest.mark.parametrize("held", [b"", b"{}\n", None, b"#" * 100_000],
+                             ids=["empty", "shorter", "same_length", "longer"])
+    def test_file_holds_exactly_the_new_bytes(self, tmp_path, held):
+        cf = torus_file()
+        text = fileio.dumps(cf)
+        path = tmp_path / "out.json"
+        path.write_bytes(text.replace("1", "2").encode() if held is None else held)
+        fileio.save_file(path, cf)
+        assert path.read_bytes() == text.encode()
+
+    def test_only_a_regular_file_that_held_more_is_truncated(self, tmp_path, monkeypatch):
+        cuts = []
+        ftruncate = os.ftruncate
+
+        def recording(fd, length):
+            cuts.append(length)
+            ftruncate(fd, length)
+
+        monkeypatch.setattr(os, "ftruncate", recording)
+        path = tmp_path / "out.txt"
+        for held in ("", "a" * 5, "b" * 9):
+            path.write_text(held)
+            fileio.write_text(path, "abcde")
+        fileio.write_text(os.devnull, "abcde")
+        assert cuts == [5]
+        assert path.read_text() == "abcde"
+
+    def test_no_output_is_opened_with_o_trunc(self, tmp_path, monkeypatch):
+        opened = []
+        os_open = os.open
+
+        def recording(path, flags, *args, **kwargs):
+            opened.append(flags)
+            return os_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", recording)
+        fileio.save_file(tmp_path / "out.json", torus_file())
+        assert opened == [os.O_WRONLY | os.O_CREAT]
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o000], ids=oct)
+    def test_new_file_mode_matches_open_w(self, tmp_path, umask):
+        before = os.umask(umask)
+        try:
+            with open(tmp_path / "reference", "w", encoding="utf-8"):
+                pass
+            fileio.write_text(tmp_path / "new", "x")
+        finally:
+            os.umask(before)
+        mode = stat.S_IMODE((tmp_path / "new").stat().st_mode)
+        assert mode == stat.S_IMODE((tmp_path / "reference").stat().st_mode) == 0o666 & ~umask
+
+    def test_symlink_is_written_through(self, tmp_path):
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        target.write_text("#" * 10_000)
+        link.symlink_to(target)
+        fileio.save_file(link, torus_file())
+        assert link.is_symlink()
+        assert target.read_text() == fileio.dumps(torus_file())
+
+    def test_hard_link_sees_the_new_bytes(self, tmp_path):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        first.write_text("#" * 10_000)
+        os.link(first, second)
+        fileio.save_file(first, torus_file())
+        assert second.read_text() == fileio.dumps(torus_file())
+
+    def test_refused_document_leaves_the_file_as_it_was(self, tmp_path):
+        cf = torus_file()
+        values = cf.values
+        bad = replace(cf, values=replace(values, uv={**values.uv, "c1": (math.nan, 0.0)}))
+        path = tmp_path / "out.json"
+        path.write_bytes(b"previous contents\n")
+        with pytest.raises(DomainViolation):
+            fileio.save_file(path, bad)
+        assert path.read_bytes() == b"previous contents\n"

@@ -36,3 +36,19 @@ def test_compare_outputs_reports_each_difference(tmp_path):
     assert "g2_s1.goldman.validate: stdout line" in "\n".join(lines)
     assert all(": stdout " in line for line in lines[:-1])
     assert not lines[-1].endswith(": 0 with a difference")
+
+
+def test_compare_outputs_reports_a_stale_tail(tmp_path):
+    # a copy whose writer never truncates differs only where a command wrote over a longer file
+    changed = tmp_path / "src"
+    shutil.copytree(REPO / "src", changed, ignore=shutil.ignore_patterns("__pycache__"))
+    fileio = changed / "convexproj" / "fileio.py"
+    text = fileio.read_text()
+    assert text.count("os.ftruncate(fd, written)") == 1
+    fileio.write_text(text.replace("os.ftruncate(fd, written)", "pass"))
+    result = compare(REPO / "src", changed)
+    assert result.returncode == 1
+    lines = result.stdout.splitlines()
+    assert "g2_s1.goldman.convert_bd.overwrite: output file differs" in "\n".join(lines)
+    assert all(".overwrite: output file differs" in line for line in lines[:-1])
+    assert not lines[-1].endswith(": 0 with a difference")

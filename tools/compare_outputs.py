@@ -10,7 +10,10 @@ seed, its rejection inputs, and the files under `samples/`; they are written
 once, with PARENT_SRC's library.  On each input the script runs `convert` to
 both systems, `validate`, `flow` (a twist and a bulge), `render`, `oracle` and
 `oracle --monodromy` (the oracle only up to --oracle-max-genus), each side in
-one worker process that calls `convexproj.cli.main`.  It prints every
+one worker process that calls `convexproj.cli.main`.  Every command that
+writes a file runs a second time (its id ends in `.overwrite`) onto a path
+that already holds a longer stale file, so a stale tail left behind, or a
+failed command that touched the file, shows as a difference.  It prints every
 difference in exit code, stdout, stderr or output file, then one summary line,
 and exits 1 when anything differs.  Nothing under `perfbench/` is changed.
 """
@@ -30,6 +33,9 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
 SAMPLES = os.path.join(ROOT, "samples")
+# The id suffix of a second run onto a stale longer file, and that file's text.
+OVERWRITE = ".overwrite"
+STALE = b"stale output\n"
 
 
 def generate(work: str, genera: list[int], seeds: list[int]) -> list[tuple[str, str]]:
@@ -72,8 +78,18 @@ def commands(inputs: list[tuple[str, str]], oracle_max_genus: int) -> list[tuple
         if genus <= oracle_max_genus:
             argvs["oracle"] = ["oracle", path]
             argvs["oracle_monodromy"] = ["oracle", path, "--monodromy"]
-        jobs += [(f"{name}.{command}", argv) for command, argv in argvs.items()]
+        for command, argv in argvs.items():
+            jobs.append((f"{name}.{command}", argv))
+            if "{out}" in argv:
+                jobs.append((f"{name}.{command}{OVERWRITE}", argv))
     return jobs
+
+
+def prefill(path: str, first: str):
+    """Fill ``path`` with a stale text longer than the file ``first`` (if any)."""
+    size = os.path.getsize(first) if os.path.exists(first) else 0
+    with open(path, "wb") as handle:
+        handle.write(STALE * (size // len(STALE) + 2))
 
 
 def run_jobs(jobs: list[tuple[str, list[str]]], out_dir: str) -> dict:
@@ -84,7 +100,10 @@ def run_jobs(jobs: list[tuple[str, list[str]]], out_dir: str) -> dict:
     results = {}
     for job, argv in jobs:
         out, err = io.StringIO(), io.StringIO()
-        argv = [a.replace("{out}", os.path.join(out_dir, job)) for a in argv]
+        path = os.path.join(out_dir, job)
+        if job.endswith(OVERWRITE):
+            prefill(path, path[:-len(OVERWRITE)])
+        argv = [a.replace("{out}", path) for a in argv]
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = cli.main(argv)
