@@ -47,21 +47,16 @@ def _dot(u, v) -> float:
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-_EXACT_SCALARS = frozenset((float, int))
-
-
 def _floats(v) -> tuple[float, float, float]:
     """A 3-vector as the float triple the kernel pairs.
 
-    A list or tuple of three floats or ints is read directly; anything else
-    goes through numpy, which converts it and raises on a wrong shape.
+    A list or tuple of three floats is read directly; anything else goes
+    through numpy, which converts it and raises on a wrong shape.
     """
     if (type(v) is tuple or type(v) is list) and len(v) == 3:
         x, y, z = v
         if type(x) is type(y) is type(z) is float:
             return (x, y, z)
-        if {type(x), type(y), type(z)} <= _EXACT_SCALARS:
-            return (float(x), float(y), float(z))
     return tuple(np.asarray(v, dtype=float).reshape(3).tolist())
 
 
@@ -120,10 +115,10 @@ class Flag:
     """A point together with a line through it.
 
     The point carries the 1-dimensional part, the line covector the
-    2-dimensional part; incidence, relative to the two norms, is required at
-    construction.  Both are stored as given, as float triples: every
-    invariant below is unchanged when either is rescaled.  `point` and
-    `line` return new ndarrays.
+    2-dimensional part; finite coordinates and incidence, relative to the
+    two norms, are required at construction.  Both are stored as given, as
+    float triples: every invariant below is unchanged when either is
+    rescaled.  `point` and `line` return new ndarrays.
     """
 
     _point: tuple[float, float, float]
@@ -132,6 +127,8 @@ class Flag:
     def __init__(self, point, line):
         p = _floats(point)
         ell = _floats(line)
+        if not all(map(math.isfinite, p + ell)):
+            raise ValueError(f"flag coordinates must be finite: {point!r}, {line!r}")
         p_norm, l_norm = math.hypot(*p), math.hypot(*ell)
         if p_norm == 0.0 or l_norm == 0.0:
             raise ValueError("zero vector has no direction")

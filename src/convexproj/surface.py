@@ -26,6 +26,7 @@ either coordinate system and commute with all conversions.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 
 from .errors import (
@@ -109,21 +110,6 @@ class PantsDecomposition:
         return [self.slots[(pants_key, k)] for k in range(3)]
 
 
-_SLOT_INDICES = (0, 1, 2)
-
-
-def _all_slots(pants) -> set[Slot]:
-    return {(p, k) for p in pants for k in _SLOT_INDICES}
-
-
-def _refuse_slot(slot, slots: dict, pants, owner: str):
-    """Raise the error that claiming ``slot`` meets, if any: unknown, then reused."""
-    if slot not in _all_slots(pants):
-        raise CountMismatch(f"{owner} references unknown slot {slot!r}")
-    if slot in slots:
-        raise SlotReuse(f"slot {slot!r} is used more than once ({owner})")
-
-
 def _claims(gluings, boundaries):
     """(slot, curve, role, owner kind) in claiming order: each gluing's plus
     then minus slot, then the boundary slots.  A gluing that pairs a slot
@@ -140,17 +126,19 @@ def _claims(gluings, boundaries):
 def build_decomposition(pants, gluings, boundaries) -> PantsDecomposition:
     """Validate the combinatorics and derive (genus, boundary count).
 
-    Every slot must be used exactly once and the gluings must connect all
-    pants.  The unglued slots determine n and g = (2 - n + #pants) / 2.
-    Once every slot is used, 3 #pants = 2 #gluings + n, so g is an integer
-    and the Euler characteristic is -#pants < 0; connectivity gives
+    A slot claims the unclaimed (pants key, 0..2) pair it equals, as ('P0', 1.0)
+    and tuple subclasses do; one equal to a claimed pair raises SlotReuse, any
+    other CountMismatch.  Every pair must be claimed, and the gluings must
+    connect all pants.  The unglued slots determine n and g = (2 - n + #pants)
+    / 2.  Once every slot is used, 3 #pants = 2 #gluings + n, so g is an
+    integer and the Euler characteristic is -#pants < 0; connectivity gives
     #gluings >= #pants - 1, so n <= #pants + 2 and g is not negative.
     """
     pants = tuple(pants)
     gluings = tuple(gluings)
     boundaries = tuple(boundaries)
-    known = set(pants)
-    if len(known) != len(pants):
+    free = set(itertools.product(pants, (0, 1, 2)))
+    if len(free) != 3 * len(pants):
         raise CountMismatch("pants keys must be unique")
     if not pants:
         raise NonNegativeEuler("a decomposition needs at least one pair of pants")
@@ -158,17 +146,17 @@ def build_decomposition(pants, gluings, boundaries) -> PantsDecomposition:
     if len(set(names)) != len(names):
         raise CountMismatch("curve keys must be unique")
     slots: dict[Slot, tuple[str, str]] = {}
-    # A slot is claimed when it equals an unclaimed (pants key, 0..2) pair.  The
-    # test below accepts exactly the 2-tuples that do; _refuse_slot settles
-    # everything else (other sequences, tuple subclasses) with the full check.
     for slot, curve, role, owner in _claims(gluings, boundaries):
-        if (slot in slots or type(slot) is not tuple or len(slot) != 2
-                or slot[1] not in _SLOT_INDICES or slot[0] not in known):
-            _refuse_slot(slot, slots, pants, f"{owner} {curve!r}")
+        try:
+            free.remove(slot)
+        except (KeyError, TypeError) as err:
+            owner = f"{owner} {curve!r}"
+            if isinstance(err, KeyError) and slot in slots:  # only a slot that hashed
+                raise SlotReuse(f"slot {slot!r} is used more than once ({owner})") from None
+            raise CountMismatch(f"{owner} references unknown slot {slot!r}") from None
         slots[slot] = (curve, role)
-    if len(slots) != 3 * len(pants):
-        missing = sorted(_all_slots(pants) - slots.keys())
-        raise CountMismatch(f"unused slots: {missing!r}")
+    if free:
+        raise CountMismatch(f"unused slots: {sorted(free)!r}")
     neighbours: dict[str, list[str]] = {p: [] for p in pants}
     for g in gluings:
         neighbours[g.plus[0]].append(g.minus[0])
@@ -374,6 +362,8 @@ def coordinate_count(genus: int, boundary_count: int) -> CoordinateCount:
     goldman_total = 16g + 8n - 16 = 8|chi|, and the raw shear count exceeds
     it by exactly two closure constraints per internal curve.
     """
+    if genus < 0 or boundary_count < 0:
+        raise CountMismatch(f"no surface has genus {genus} and {boundary_count} boundary components")
     chi = 2 - 2 * genus - boundary_count
     if chi >= 0:
         raise NonNegativeEuler(f"Euler characteristic {chi} is not negative")

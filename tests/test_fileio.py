@@ -474,6 +474,12 @@ class TestDecoderMessages:
             pytest.param([Gluing("c1", ("P0", 0), ("P0", 1.0))], [],
                          CountMismatch, "unused slots: [('P0', 2)]",
                          id="float_index_claims_its_slot"),
+            pytest.param([Gluing("c1", ["P0", 0], ("P0", 1))], [BoundarySlot("a1", ("P0", 2))],
+                         CountMismatch, "gluing 'c1' references unknown slot ['P0', 0]",
+                         id="list_slot"),
+            pytest.param([Gluing("c1", ("P0", 0), ("P0", [1]))], [BoundarySlot("a1", ("P0", 2))],
+                         CountMismatch, "gluing 'c1' references unknown slot ('P0', [1])",
+                         id="unhashable_part"),
         ],
     )
     def test_direct_build_decomposition_message(self, gluings, boundaries, error, message):

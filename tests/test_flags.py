@@ -130,6 +130,20 @@ class TestFlag:
             Flag([1.0, 0.0, 0.0], [1.0, 0.0, 0.0])
         Flag([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coordinates_rejected(self, bad):
+        # a nan would pass the incidence test and reach a kernel as a pairing
+        # that "overflows a float"
+        for point, line in (((bad, 0.0, 0.0), (0.0, 1.0, 0.0)), ((1.0, 0.0, 0.0), (0.0, bad, 0.0))):
+            with pytest.raises(ValueError) as raised:
+                Flag(point, line)
+            assert str(raised.value) == f"flag coordinates must be finite: {point!r}, {line!r}"
+
+    def test_zero_vector_rejected(self):
+        for point, line in (((0.0, 0.0, 0.0), (0.0, 1.0, 0.0)), ((1.0, 0.0, 0.0), (0, 0, 0))):
+            with pytest.raises(ValueError, match="^zero vector has no direction$"):
+                Flag(point, line)
+
 
 class TestTripleRatio:
     def test_symmetric_configuration_is_zero(self):

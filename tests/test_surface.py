@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import convexproj.surface as surface
 from convexproj.errors import (
@@ -94,6 +96,33 @@ def ring_chain(genus):
 
 
 ALL_SURFACES = [pants_surface, torus_surface, genus2_surface, four_holed_sphere, two_holed_torus]
+
+
+class SlotTuple(tuple):
+    """A tuple subclass: it claims the (pants key, index) pair it equals."""
+
+
+# valid, equal-but-not-int, out-of-range and unhashable indices, on known and unknown pants
+SLOT_PAIRS = st.tuples(st.sampled_from(["P0", "P1", "Q9"]),
+                       st.sampled_from([0, 1, 2, 1.0, True, 3, -1, [1]]))
+ANY_SLOT = st.one_of(SLOT_PAIRS, SLOT_PAIRS.map(list), SLOT_PAIRS.map(SlotTuple),
+                     st.text(max_size=3), st.integers(), st.none())
+
+
+@st.composite
+def decomposition_inputs(draw):
+    """(pants, gluings, boundaries): every slot of the pants once, in a drawn
+    order, with some slots replaced and some appended from ANY_SLOT."""
+    pants = draw(st.sampled_from([["P0"], ["P0", "P1"]])) if draw(st.integers(0, 7)) else []
+    slots = draw(st.permutations([(p, k) for p in pants for k in range(3)]))
+    slots = [draw(ANY_SLOT) if draw(st.integers(0, 3)) == 0 else slot for slot in slots]
+    slots += draw(st.lists(ANY_SLOT, max_size=2))
+    glued = draw(st.integers(0, len(slots) // 2))
+    names = draw(st.lists(st.text(min_size=1, max_size=3), unique=True,
+                          min_size=len(slots) - glued, max_size=len(slots) - glued))
+    gluings = [Gluing(name, slots[2 * i], slots[2 * i + 1]) for i, name in enumerate(names[:glued])]
+    boundaries = [BoundarySlot(name, slot) for name, slot in zip(names[glued:], slots[2 * glued:])]
+    return pants, gluings, boundaries
 
 
 class TestBuildDecomposition:
@@ -192,6 +221,17 @@ class TestBuildDecomposition:
         # derived, so it takes no part in equality or repr
         assert replace(d, slots={}) == d
         assert "slots" not in repr(d)
+
+    @given(decomposition_inputs())
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    def test_any_slot_is_claimed_or_refused_with_a_coordinate_error(self, case):
+        pants, gluings, boundaries = case
+        try:
+            d = build_decomposition(pants, gluings, boundaries)
+        except (CountMismatch, SlotReuse, NonNegativeEuler):
+            return
+        claims = [s for g in gluings for s in (g.plus, g.minus)] + [b.slot for b in boundaries]
+        assert list(d.slots) == claims
 
     def test_arc_range(self):
         with pytest.raises(ValueError):
@@ -439,6 +479,13 @@ class TestCoordinateCount:
     def test_invalid_types(self, genus, n):
         with pytest.raises(NonNegativeEuler):
             coordinate_count(genus, n)
+
+    @pytest.mark.parametrize("genus, n", [(-1, 5), (2, -1)])
+    def test_negative_counts(self, genus, n):
+        # (-1, 5) has chi < 0 and would otherwise return tallies with a negative entry
+        with pytest.raises(CountMismatch) as raised:
+            coordinate_count(genus, n)
+        assert str(raised.value) == f"no surface has genus {genus} and {n} boundary components"
 
     def test_scalar_counts_match_bundles(self):
         rng = np.random.default_rng(89)

@@ -52,3 +52,19 @@ def test_compare_outputs_reports_a_stale_tail(tmp_path):
     assert "g2_s1.goldman.convert_bd.overwrite: output file differs" in "\n".join(lines)
     assert all(".overwrite: output file differs" in line for line in lines[:-1])
     assert not lines[-1].endswith(": 0 with a difference")
+
+
+def test_compare_outputs_reports_a_reworded_decomposition_error(tmp_path):
+    # a copy that words a reused slot otherwise differs only on the reused-slot inputs
+    changed = tmp_path / "src"
+    shutil.copytree(REPO / "src", changed, ignore=shutil.ignore_patterns("__pycache__"))
+    surface = changed / "convexproj" / "surface.py"
+    text = surface.read_text()
+    assert text.count("is used more than once") == 1
+    surface.write_text(text.replace("is used more than once", "is claimed twice"))
+    result = compare(REPO / "src", changed)
+    assert result.returncode == 1
+    lines = result.stdout.splitlines()
+    assert "g2_s1.reject_slot_reuse.validate: stderr line" in "\n".join(lines)
+    assert all(line.startswith("g2_s1.reject_slot_reuse.") for line in lines[:-1])
+    assert not lines[-1].endswith(": 0 with a difference")

@@ -6,7 +6,8 @@ usage: python tools/compare_outputs.py PARENT_SRC CHANGE_SRC
 PARENT_SRC and CHANGE_SRC are directories holding the `convexproj` package,
 such as the `src/` of two checkouts.  The inputs are the goldman and bd
 documents of `perfbench/generate.py` (closed ring chains) for each genus and
-seed, its rejection inputs, and the files under `samples/`; they are written
+seed, its rejection inputs, three goldman documents whose decomposition is
+refused (`reject_slots`), and the files under `samples/`; they are written
 once, with PARENT_SRC's library.  On each input the script runs `convert` to
 both systems, `validate`, `flow` (a twist and a bulge), `render`, `oracle` and
 `oracle --monodromy` (the oracle only up to --oracle-max-genus), each side in
@@ -38,6 +39,19 @@ OVERWRITE = ".overwrite"
 STALE = b"stale output\n"
 
 
+def reject_slots(goldman_text: str) -> dict[str, str]:
+    """Three documents that fail in `build_decomposition`: the second gluing
+    reuses the first one's plus slot, the first gluing's minus slot names an
+    unknown pants, and the last gluing is dropped, which leaves its slots unused."""
+    docs = {kind: json.loads(goldman_text)
+            for kind in ("reject_slot_reuse", "reject_unknown_slot", "reject_unused_slot")}
+    reuse = docs["reject_slot_reuse"]["surface"]["gluings"]
+    reuse[1]["plus"] = reuse[0]["plus"]
+    docs["reject_unknown_slot"]["surface"]["gluings"][0]["minus"][0] = "no_such_pants"
+    docs["reject_unused_slot"]["surface"]["gluings"].pop()
+    return {kind: json.dumps(doc, indent=2) + "\n" for kind, doc in docs.items()}
+
+
 def generate(work: str, genera: list[int], seeds: list[int]) -> list[tuple[str, str]]:
     """Write the inputs; return (name, path) pairs.  Runs in a worker process."""
     import numpy as np
@@ -54,7 +68,8 @@ def generate(work: str, genera: list[int], seeds: list[int]) -> list[tuple[str, 
             for kind, text in (("goldman", goldman), ("bd", bd),
                                ("reject_window", gen.reject_window(goldman, rng)),
                                ("reject_field", gen.reject_field(goldman)),
-                               ("reject_closure", gen.reject_closure(bd, rng))):
+                               ("reject_closure", gen.reject_closure(bd, rng)),
+                               *reject_slots(goldman).items()):
                 inputs.append((f"{name}.{kind}", gen.write(os.path.join(work, f"{name}.{kind}.json"),
                                                            text)))
     return inputs
