@@ -300,10 +300,11 @@ def config_from_fg(sigma1, sigma2, tau_plus: float) -> PantsFlagConfig:
     s1 = tuple(map(float, sigma1))
     s2 = tuple(map(float, sigma2))
     try:
+        x = math.exp(tau_plus)
         return PantsFlagConfig(
-            x=math.exp(tau_plus),
+            x=x,
             a2=math.exp(-s2[1]) + 1.0,
-            a3=math.exp(tau_plus) * (math.exp(s1[2]) + 1.0),
+            a3=x * (math.exp(s1[2]) + 1.0),
             b1=math.exp(s1[0]) + 1.0,
             b3=math.exp(-s2[2]) + 1.0,
             c1=math.exp(-tau_plus) * (math.exp(-s2[0]) + 1.0),
@@ -422,8 +423,8 @@ def reconstruct_monodromy(c: PantsFlagConfig, eigen) -> MonodromyResult:
     annihilates the lam-eigenvector p_i, so this holds exactly when
     l M = nu l, and the flag residual is |l M - nu l| / (nu |l|).
 
-    Returns all branches, the smallest flag residual first.  Raises
-    NoValidBranch when a vertex has no real scaling branch.
+    Takes the three triples ``eigen_from_boundary`` returns.  Returns all
+    branches, smallest flag residual first; NoValidBranch if a vertex has none.
     """
     eigen = tuple(eigen)
     if len(eigen) != 3:

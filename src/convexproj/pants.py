@@ -197,19 +197,10 @@ def goldman_to_fg(g: GoldmanPants) -> FGPants:
         half = 0.5 * (log_lam[(i - 1) % 3] + log_lam[(i + 1) % 3] - log_lam[i])
         sigma1.append(log_s + log_mu[(i - 1) % 3] + half)
         sigma2.append(-log_s + log_mu[(i + 1) % 3] + half)
-    tau_plus = (
-        _log1pexp(-sigma2[1])
-        + _log1pexp(-sigma2[2])
-        - math.log(g.t)
-        - _log1pexp(sigma1[2])
-    )
-    tau_minus = (
-        math.log(g.t)
-        + _log1pexp(sigma1[2])
-        - sum(log_mu)
-        - _log1pexp(-sigma2[1])
-        - _log1pexp(-sigma2[2])
-    )
+    log_t = math.log(g.t)
+    log_a2, log_b3, log_a3x = _log1pexp(-sigma2[1]), _log1pexp(-sigma2[2]), _log1pexp(sigma1[2])
+    tau_plus = log_a2 + log_b3 - log_t - log_a3x
+    tau_minus = log_t + log_a3x - sum(log_mu) - log_a2 - log_b3
     return FGPants(tuple(sigma1), tuple(sigma2), tau_plus, tau_minus)
 
 

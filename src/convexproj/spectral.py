@@ -22,9 +22,7 @@ from typing import NamedTuple
 
 from .errors import WindowViolation
 
-# Type invariants are enforced at construction with this relative tolerance;
-# the window is open, so equality within EDGE_TOL of a bound is rejected.
-REL_TOL = 1e-12
+# The window is open, so equality within EDGE_TOL of a bound is rejected.
 EDGE_TOL = 1e-12
 
 
@@ -74,23 +72,13 @@ def check_window(lam: float, tau: float) -> WindowCheck:
     return _new(WindowCheck, (lower, upper, failures))
 
 
-@dataclass(frozen=True)
-class EigenTriple:
-    """Sorted positive spectrum (lam, mu, nu) with lam*mu*nu = 1."""
+class EigenTriple(NamedTuple):
+    """Sorted positive spectrum (lam, mu, nu) with lam*mu*nu = 1, as
+    ``eigen_from_boundary`` returns it after its own order test."""
 
     lam: float
     mu: float
     nu: float
-
-    def __post_init__(self):
-        if not (0.0 < self.lam < self.mu < self.nu):
-            raise ValueError(
-                f"eigenvalues must satisfy 0 < lam < mu < nu, got "
-                f"({self.lam!r}, {self.mu!r}, {self.nu!r})"
-            )
-        product = self.lam * self.mu * self.nu
-        if abs(product - 1.0) > REL_TOL:
-            raise ValueError(f"eigenvalue product must be 1, got {product!r}")
 
 
 @dataclass(frozen=True)
@@ -129,7 +117,7 @@ def eigen_from_boundary(b: BoundaryInvariant) -> EigenTriple:
             f"lambda={b.lam!r}, tau={b.tau!r} give no spectrum lambda < mu < nu "
             f"in floating point (mu={mu!r}, nu={nu!r})"
         )
-    return EigenTriple(b.lam, mu, nu)
+    return _new(EigenTriple, (b.lam, mu, nu))
 
 
 def boundary_from_eigen(e: EigenTriple) -> BoundaryInvariant:
@@ -138,8 +126,9 @@ def boundary_from_eigen(e: EigenTriple) -> BoundaryInvariant:
 
 
 def length_functions(e: EigenTriple) -> LengthPair:
-    """Both values are positive precisely because the spectrum is sorted."""
-    return LengthPair(math.log(e.nu) - math.log(e.mu), math.log(e.mu) - math.log(e.lam))
+    """Lengths of the triple `eigen_from_boundary` returns, positive as it is sorted."""
+    log_mu = math.log(e.mu)
+    return LengthPair(math.log(e.nu) - log_mu, log_mu - math.log(e.lam))
 
 
 def reverse_orientation(b: BoundaryInvariant) -> BoundaryInvariant:

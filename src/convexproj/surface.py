@@ -45,6 +45,8 @@ from .spectral import BoundaryInvariant, LengthPair, reverse_orientation
 # Residual accepted when validating closure of externally produced data;
 # internally converted data stays far below this.
 CLOSURE_TOL = 1e-9
+_UV_KEYS = "uv values must cover exactly the internal curves"
+_SHEAR_KEYS = "curve shears must cover exactly the internal curves"
 
 Slot = tuple[str, int]
 
@@ -123,6 +125,15 @@ def _claims(gluings, boundaries):
         yield b.slot, b.curve, "boundary", "boundary"
 
 
+def _unhashable(kind: str, keys) -> CountMismatch:
+    """The error naming the first of ``keys`` that cannot be hashed."""
+    for key in keys:
+        try:
+            hash(key)
+        except TypeError:
+            return CountMismatch(f"{kind} key {key!r} is not hashable")
+
+
 def build_decomposition(pants, gluings, boundaries) -> PantsDecomposition:
     """Validate the combinatorics and derive (genus, boundary count).
 
@@ -137,14 +148,20 @@ def build_decomposition(pants, gluings, boundaries) -> PantsDecomposition:
     pants = tuple(pants)
     gluings = tuple(gluings)
     boundaries = tuple(boundaries)
-    free = set(itertools.product(pants, (0, 1, 2)))
+    try:
+        free = set(itertools.product(pants, (0, 1, 2)))
+    except TypeError:
+        raise _unhashable("pants", pants) from None
     if len(free) != 3 * len(pants):
         raise CountMismatch("pants keys must be unique")
     if not pants:
         raise NonNegativeEuler("a decomposition needs at least one pair of pants")
     names = [g.curve for g in gluings] + [b.curve for b in boundaries]
-    if len(set(names)) != len(names):
-        raise CountMismatch("curve keys must be unique")
+    try:
+        if len(set(names)) != len(names):
+            raise CountMismatch("curve keys must be unique")
+    except TypeError:
+        raise _unhashable("curve", names) from None
     slots: dict[Slot, tuple[str, str]] = {}
     for slot, curve, role, owner in _claims(gluings, boundaries):
         try:
@@ -202,7 +219,7 @@ def _check_goldman_keys(d: PantsDecomposition, g: SurfaceGoldman):
     if set(g.curves) != set(d.curve_names()):
         raise CountMismatch("curve values do not match the decomposition")
     if set(g.uv) != set(d.internal_curves()):
-        raise CountMismatch("uv values must cover exactly the internal curves")
+        raise CountMismatch(_UV_KEYS)
     if set(g.pants) != set(d.pants):
         raise CountMismatch("pants values do not match the decomposition")
 
@@ -211,7 +228,7 @@ def _check_bd_keys(d: PantsDecomposition, b: SurfaceBD):
     if set(b.pants) != set(d.pants):
         raise CountMismatch("pants values do not match the decomposition")
     if set(b.curve_shears) != set(d.internal_curves()):
-        raise CountMismatch("curve shears must cover exactly the internal curves")
+        raise CountMismatch(_SHEAR_KEYS)
 
 
 def pants_goldman(d: PantsDecomposition, g: SurfaceGoldman, pants_key: str) -> GoldmanPants:
@@ -318,11 +335,16 @@ def bd_to_goldman(d: PantsDecomposition, b: SurfaceBD) -> SurfaceGoldman:
     return SurfaceGoldman(curves, uv, pants)
 
 
-def _internal_curve(d: PantsDecomposition, curve: str):
+def _flow_pair(d: PantsDecomposition, coords, curve: str) -> tuple[float, float]:
     if curve not in d.curve_names():
         raise UnknownCurve(f"no curve {curve!r} in these coordinates")
     if curve not in d.internal_curves():
         raise BoundaryCurve(f"curve {curve!r} is a boundary component, flows need an internal curve")
+    goldman = isinstance(coords, SurfaceGoldman)
+    try:
+        return coords.uv[curve] if goldman else coords.curve_shears[curve]
+    except KeyError:
+        raise CountMismatch(_UV_KEYS if goldman else _SHEAR_KEYS) from None
 
 
 def twist_flow(d: PantsDecomposition, coords, curve: str, u: float):
@@ -331,22 +353,18 @@ def twist_flow(d: PantsDecomposition, coords, curve: str, u: float):
     Acts on the curve's shear pair by (+u, +u), equivalently on the Goldman
     pair by (u, v) -> (u + u0, v); everything else is untouched.
     """
-    _internal_curve(d, curve)
+    a, b = _flow_pair(d, coords, curve)
     if isinstance(coords, SurfaceGoldman):
-        u0, v0 = coords.uv[curve]
-        return replace(coords, uv={**coords.uv, curve: (u0 + u, v0)})
-    s1, s2 = coords.curve_shears[curve]
-    return replace(coords, curve_shears={**coords.curve_shears, curve: (s1 + u, s2 + u)})
+        return replace(coords, uv={**coords.uv, curve: (a + u, b)})
+    return replace(coords, curve_shears={**coords.curve_shears, curve: (a + u, b + u)})
 
 
 def bulge_flow(d: PantsDecomposition, coords, curve: str, v: float):
     """Translate by a bulge of size v: shear pair moves by (-3v, +3v)."""
-    _internal_curve(d, curve)
+    a, b = _flow_pair(d, coords, curve)
     if isinstance(coords, SurfaceGoldman):
-        u0, v0 = coords.uv[curve]
-        return replace(coords, uv={**coords.uv, curve: (u0, v0 + v)})
-    s1, s2 = coords.curve_shears[curve]
-    return replace(coords, curve_shears={**coords.curve_shears, curve: (s1 - 3.0 * v, s2 + 3.0 * v)})
+        return replace(coords, uv={**coords.uv, curve: (a, b + v)})
+    return replace(coords, curve_shears={**coords.curve_shears, curve: (a - 3.0 * v, b + 3.0 * v)})
 
 
 @dataclass(frozen=True)
@@ -362,7 +380,7 @@ def coordinate_count(genus: int, boundary_count: int) -> CoordinateCount:
     goldman_total = 16g + 8n - 16 = 8|chi|, and the raw shear count exceeds
     it by exactly two closure constraints per internal curve.
     """
-    if genus < 0 or boundary_count < 0:
+    if not all(type(k) is int and k >= 0 for k in (genus, boundary_count)):
         raise CountMismatch(f"no surface has genus {genus} and {boundary_count} boundary components")
     chi = 2 - 2 * genus - boundary_count
     if chi >= 0:

@@ -7,6 +7,7 @@ from convexproj.errors import DomainViolation, NoPositiveRoot
 from convexproj.pants import (
     FGPants,
     GoldmanPants,
+    _log1pexp,
     boundary_lengths,
     crossratios,
     fg_to_goldman,
@@ -17,7 +18,12 @@ from convexproj.pants import (
     validate_fg_domain,
 )
 from convexproj.sampling import random_fg_pants, random_goldman_pants
-from convexproj.spectral import BoundaryInvariant, eigen_from_boundary, length_functions
+from convexproj.spectral import (
+    BoundaryInvariant,
+    check_window,
+    eigen_from_boundary,
+    length_functions,
+)
 
 E = math.e
 SQ5 = math.sqrt(5.0)
@@ -100,6 +106,59 @@ class TestGoldmanToFG:
             f = goldman_to_fg(g)
             log_mu = sum(math.log(eigen_from_boundary(b).mu) for b in g.boundary)
             assert f.tau_plus + f.tau_minus == pytest.approx(-log_mu, abs=1e-11)
+
+
+def reference_taus(g, f):
+    """goldman_to_fg's tau_plus and tau_minus from its shears f, with each
+    term evaluated where it is used, as the closed forms are written."""
+    sigma1, sigma2 = f.sigma1, f.sigma2
+    log_mu = [math.log(eigen_from_boundary(b).mu) for b in g.boundary]
+    tau_plus = (
+        _log1pexp(-sigma2[1])
+        + _log1pexp(-sigma2[2])
+        - math.log(g.t)
+        - _log1pexp(sigma1[2])
+    )
+    tau_minus = (
+        math.log(g.t)
+        + _log1pexp(sigma1[2])
+        - sum(log_mu)
+        - _log1pexp(-sigma2[1])
+        - _log1pexp(-sigma2[2])
+    )
+    return tau_plus, tau_minus
+
+
+def goldman_edge_tuples():
+    """Boundaries 1e-9 (relative) inside a window bound or mid-window, from
+    lambda = 1e-300 to 0.999, with s and t from 1e-300 to 1e300."""
+    invariants = []
+    for lam in (1e-300, 1e-30, 1e-8, 0.2, 0.999):
+        lower, upper, _ = check_window(lam, 1.0)
+        for tau in (lower * (1.0 + 1e-9), upper * (1.0 - 1e-9), math.sqrt(lower * upper)):
+            if tau < upper:
+                invariants.append(BoundaryInvariant(lam, tau))
+    rng = np.random.default_rng(1402)
+    tuples = []
+    for _ in range(600):
+        boundary = tuple(invariants[k] for k in rng.integers(len(invariants), size=3))
+        s, t = (10.0 ** int(rng.choice((-300, -30, 0, 30, 300))) for _ in range(2))
+        tuples.append(GoldmanPants(boundary, s, t))
+    return tuples
+
+
+class TestSharedTerms:
+    @pytest.mark.parametrize("source", ["sampler", "edge"])
+    def test_tau_bit_identical_to_the_closed_forms(self, source):
+        if source == "sampler":
+            rng = np.random.default_rng(1401)
+            tuples = [random_goldman_pants(rng) for _ in range(3000)]
+        else:
+            tuples = goldman_edge_tuples()
+        for g in tuples:
+            f = goldman_to_fg(g)
+            expected = reference_taus(g, f)
+            assert (f.tau_plus.hex(), f.tau_minus.hex()) == tuple(x.hex() for x in expected)
 
 
 class TestRoundTrips:

@@ -210,15 +210,40 @@ def test_window_agrees_with_construction(lam, tau):
             BoundaryInvariant(lam, tau)
 
 
-class TestEigenTripleInvariants:
-    def test_unsorted_rejected(self):
-        with pytest.raises(ValueError):
-            EigenTriple(1.0, 0.5, 2.0)
+def boundary_probes():
+    """(lambda, tau) with log lambda in [-745, -1e-3] and tau mid-window (on a
+    log scale) or within 1e-16 to 1e-3, relative, of either bound."""
+    return st.tuples(
+        st.floats(min_value=-745.0, max_value=-1e-3),
+        st.sampled_from(("mid", "lower", "upper")),
+        st.floats(min_value=1e-3, max_value=1.0 - 1e-3),
+        st.floats(min_value=-16.0, max_value=-3.0),
+    ).map(_probe_from_coords)
 
-    def test_bad_product_rejected(self):
-        with pytest.raises(ValueError):
-            EigenTriple(0.2, 1.0, 5.1)
 
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            EigenTriple(-0.2, 1.0, 5.0)
+def _probe_from_coords(coords):
+    log_lam, place, fraction, log10_gap = coords
+    lam = math.exp(log_lam)
+    gap = 10.0**log10_gap
+    # the bounds check_window uses; upper is inf once lam * lam underflows
+    lower, upper, _ = check_window(lam, 1.0)
+    if place == "lower":
+        return (lam, lower * (1.0 + gap))
+    if place == "upper":
+        return (lam, upper * (1.0 - gap))
+    log_lower = math.log(2.0) - 0.5 * log_lam
+    log_upper = -2.0 * log_lam + math.log1p(lam**3)  # log(lam + 1/lam^2) without overflow
+    return (lam, math.exp(min(log_lower + fraction * (log_upper - log_lower), 709.0)))
+
+
+@given(boundary_probes())
+@settings(max_examples=1000, deadline=None)
+def test_spectrum_is_refused_or_sorted_with_unit_product(pair):
+    # the two properties EigenTriple is documented to have, on every pair that
+    # eigen_from_boundary does not refuse, including pairs rounded onto a bound
+    try:
+        e = eigen_from_boundary(BoundaryInvariant(*pair))
+    except WindowViolation:
+        return
+    assert 0.0 < e.lam < e.mu < e.nu
+    assert abs(e.lam * e.mu * e.nu - 1.0) <= 1e-12

@@ -112,14 +112,17 @@ ANY_SLOT = st.one_of(SLOT_PAIRS, SLOT_PAIRS.map(list), SLOT_PAIRS.map(SlotTuple)
 @st.composite
 def decomposition_inputs(draw):
     """(pants, gluings, boundaries): every slot of the pants once, in a drawn
-    order, with some slots replaced and some appended from ANY_SLOT."""
-    pants = draw(st.sampled_from([["P0"], ["P0", "P1"]])) if draw(st.integers(0, 7)) else []
+    order, with some slots replaced and some appended from ANY_SLOT, and
+    sometimes a list as a pants key or a curve key."""
+    keys = [["P0"], ["P0", "P1"], [["P0"]], ["P0", ["P1"]]]
+    pants = draw(st.sampled_from(keys)) if draw(st.integers(0, 7)) else []
     slots = draw(st.permutations([(p, k) for p in pants for k in range(3)]))
     slots = [draw(ANY_SLOT) if draw(st.integers(0, 3)) == 0 else slot for slot in slots]
     slots += draw(st.lists(ANY_SLOT, max_size=2))
     glued = draw(st.integers(0, len(slots) // 2))
     names = draw(st.lists(st.text(min_size=1, max_size=3), unique=True,
                           min_size=len(slots) - glued, max_size=len(slots) - glued))
+    names = [[name] if draw(st.integers(0, 7)) == 0 else name for name in names]
     gluings = [Gluing(name, slots[2 * i], slots[2 * i + 1]) for i, name in enumerate(names[:glued])]
     boundaries = [BoundarySlot(name, slot) for name, slot in zip(names[glued:], slots[2 * glued:])]
     return pants, gluings, boundaries
@@ -188,6 +191,15 @@ class TestBuildDecomposition:
                     BoundarySlot("a3", ("P0", 2)),
                 ],
             )
+
+    def test_unhashable_pants_key_rejected(self):
+        with pytest.raises(CountMismatch, match=r"^pants key \['P0'\] is not hashable$"):
+            build_decomposition([["P0"]], [], [])
+
+    def test_unhashable_curve_key_rejected(self):
+        with pytest.raises(CountMismatch, match=r"^curve key \['c'\] is not hashable$"):
+            build_decomposition(["P0"], [Gluing(["c"], ("P0", 0), ("P0", 1))],
+                                [BoundarySlot("a1", ("P0", 2))])
 
     def test_empty_rejected(self):
         with pytest.raises(NonNegativeEuler):
@@ -421,6 +433,28 @@ class TestFlows:
             bulge_flow(d, b, "a1", 1.0)
 
 
+    def test_goldman_bundle_without_the_curve_refused_as_by_goldman_to_bd(self):
+        d = torus_surface()
+        g = replace(surface_goldman(d, np.random.default_rng(97)), uv={})
+        message = "^uv values must cover exactly the internal curves$"
+        with pytest.raises(CountMismatch, match=message):
+            goldman_to_bd(d, g)
+        for flow in (twist_flow, bulge_flow):
+            with pytest.raises(CountMismatch, match=message):
+                flow(d, g, "c1", 1.0)
+
+    def test_bd_bundle_without_the_curve_refused_as_by_validate_closure(self):
+        d = torus_surface()
+        b = replace(goldman_to_bd(d, surface_goldman(d, np.random.default_rng(101))),
+                    curve_shears={})
+        message = "^curve shears must cover exactly the internal curves$"
+        with pytest.raises(CountMismatch, match=message):
+            validate_closure(d, b)
+        for flow in (twist_flow, bulge_flow):
+            with pytest.raises(CountMismatch, match=message):
+                flow(d, b, "c1", 1.0)
+
+
 class IterationCounter(tuple):
     """A tuple that counts how often it is iterated."""
 
@@ -480,9 +514,11 @@ class TestCoordinateCount:
         with pytest.raises(NonNegativeEuler):
             coordinate_count(genus, n)
 
-    @pytest.mark.parametrize("genus, n", [(-1, 5), (2, -1)])
+    @pytest.mark.parametrize("genus, n", [(-1, 5), (2, -1), (0.5, 2), (math.nan, 3), (2, 1.5),
+                                          (2.0, 0), (True, 2), (2, True)])
     def test_negative_counts(self, genus, n):
-        # (-1, 5) has chi < 0 and would otherwise return tallies with a negative entry
+        # (-1, 5) has chi < 0 and would otherwise return tallies with a negative entry;
+        # a count that is not an int (a float, nan or a bool) names no surface either
         with pytest.raises(CountMismatch) as raised:
             coordinate_count(genus, n)
         assert str(raised.value) == f"no surface has genus {genus} and {n} boundary components"

@@ -68,3 +68,21 @@ def test_compare_outputs_reports_a_reworded_decomposition_error(tmp_path):
     assert "g2_s1.reject_slot_reuse.validate: stderr line" in "\n".join(lines)
     assert all(line.startswith("g2_s1.reject_slot_reuse.") for line in lines[:-1])
     assert not lines[-1].endswith(": 0 with a difference")
+
+
+def test_compare_outputs_reaches_the_window_edge(tmp_path):
+    # a copy that words a lower-bound failure otherwise differs on the inputs
+    # below a window (reject_window) and on those whose reversed pairs round
+    # onto it (edge_upper), and on no other input
+    changed = tmp_path / "src"
+    shutil.copytree(REPO / "src", changed, ignore=shutil.ignore_patterns("__pycache__"))
+    spectral = changed / "convexproj" / "spectral.py"
+    text = spectral.read_text()
+    assert text.count("is not above the lower bound") == 1
+    spectral.write_text(text.replace("is not above the lower bound", "is at or below the bound"))
+    result = compare(REPO / "src", changed)
+    assert result.returncode == 1
+    lines = result.stdout.splitlines()
+    assert "g2_s1.edge_upper.convert_bd: stderr line" in "\n".join(lines)
+    assert all(line.startswith(("g2_s1.reject_window.", "g2_s1.edge_upper.")) for line in lines[:-1])
+    assert not lines[-1].endswith(": 0 with a difference")

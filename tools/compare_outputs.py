@@ -7,8 +7,9 @@ PARENT_SRC and CHANGE_SRC are directories holding the `convexproj` package,
 such as the `src/` of two checkouts.  The inputs are the goldman and bd
 documents of `perfbench/generate.py` (closed ring chains) for each genus and
 seed, its rejection inputs, three goldman documents whose decomposition is
-refused (`reject_slots`), and the files under `samples/`; they are written
-once, with PARENT_SRC's library.  On each input the script runs `convert` to
+refused (`reject_slots`), four documents at the edges of the coordinates'
+range (`edge_inputs`), and the files under `samples/`; they are written once,
+with PARENT_SRC's library.  On each input the script runs `convert` to
 both systems, `validate`, `flow` (a twist and a bulge), `render`, `oracle` and
 `oracle --monodromy` (the oracle only up to --oracle-max-genus), each side in
 one worker process that calls `convexproj.cli.main`.  Every command that
@@ -25,6 +26,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -52,6 +54,34 @@ def reject_slots(goldman_text: str) -> dict[str, str]:
     return {kind: json.dumps(doc, indent=2) + "\n" for kind, doc in docs.items()}
 
 
+def edge_inputs(goldman_text: str, bd_text: str) -> dict[str, str]:
+    """Documents whose values lie at the edges of their range, where rounding
+    decides the outcome: every curve's tau 1e-9 (relative) inside the lower
+    or the upper bound of its window (`edge_lower`, `edge_upper`), and every
+    shear and triangle invariant of the bd document, pants and curves,
+    multiplied by 10 or 100 (`far_10`, `far_100`; lengths stay positive)."""
+    docs = {}
+    for kind in ("edge_lower", "edge_upper"):
+        doc = json.loads(goldman_text)
+        for entry in doc["values"]["curves"].values():
+            lam = entry["lambda"]
+            lower, upper = 2.0 / math.sqrt(lam), lam + 1.0 / (lam * lam)
+            entry["tau"] = upper * (1.0 - 1e-9) if kind == "edge_upper" else lower * (1.0 + 1e-9)
+        docs[kind] = doc
+    for factor in (10, 100):
+        doc = json.loads(bd_text)
+        for entry in doc["values"]["pants"].values():
+            for key in ("sigma1", "sigma2"):
+                entry[key] = [factor * value for value in entry[key]]
+            for key in ("tau_plus", "tau_minus"):
+                entry[key] *= factor
+        for entry in doc["values"]["curves"].values():
+            for key in ("sigma1_C", "sigma2_C"):
+                entry[key] *= factor
+        docs[f"far_{factor}"] = doc
+    return {kind: json.dumps(doc, indent=2) + "\n" for kind, doc in docs.items()}
+
+
 def generate(work: str, genera: list[int], seeds: list[int]) -> list[tuple[str, str]]:
     """Write the inputs; return (name, path) pairs.  Runs in a worker process."""
     import numpy as np
@@ -69,7 +99,8 @@ def generate(work: str, genera: list[int], seeds: list[int]) -> list[tuple[str, 
                                ("reject_window", gen.reject_window(goldman, rng)),
                                ("reject_field", gen.reject_field(goldman)),
                                ("reject_closure", gen.reject_closure(bd, rng)),
-                               *reject_slots(goldman).items()):
+                               *reject_slots(goldman).items(),
+                               *edge_inputs(goldman, bd).items()):
                 inputs.append((f"{name}.{kind}", gen.write(os.path.join(work, f"{name}.{kind}.json"),
                                                            text)))
     return inputs
