@@ -44,15 +44,11 @@ class NoPositiveRoot(CoordinateError):
 
 
 class DegenerateConfiguration(CoordinateError):
-    """A flag pairing or determinant is zero, or a flag configuration is not representable."""
+    """A flag pairing or determinant is zero, or a configuration or holonomy is unrepresentable."""
 
 
 class NonPositiveRatio(CoordinateError):
     """A projective ratio that must be positive is not."""
-
-
-class NoValidBranch(CoordinateError):
-    """The scaling equations of a boundary holonomy have no real solution."""
 
 
 class ClosureViolation(CoordinateError):

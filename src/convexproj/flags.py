@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateConfiguration, NonPositiveRatio, NoValidBranch
+from .errors import DegenerateConfiguration, NonPositiveRatio
 from .pants import FGPants, fg_to_goldman
 from .spectral import _REAL, EigenTriple, eigen_from_boundary
 
@@ -93,11 +93,10 @@ class ProjPoint:
         return np.array(self._triple)
 
     def _canonical(self) -> tuple[float, float, float]:
+        # the triple is finite and not all zero, so its largest coordinate clears the floor
         scale_floor = DEGENERACY_TOL * max(map(abs, self._triple))
-        for value in self._triple:
-            if abs(value) > scale_floor:
-                return tuple(c / value for c in self._triple)
-        raise ValueError("no usable pivot coordinate")
+        pivot = next(value for value in self._triple if abs(value) > scale_floor)
+        return tuple(c / pivot for c in self._triple)
 
     def canonical(self) -> np.ndarray:
         return np.array(self._canonical())
@@ -384,27 +383,14 @@ class MonodromyBranch:
 
 @dataclass(frozen=True)
 class MonodromyResult:
-    """Every real scaling branch per holonomy, ordered by flag residual; the
-    primary matrix of each holonomy is its first branch's."""
+    """Both real scaling branches of each holonomy, ordered by flag residual;
+    the primary matrix of each holonomy is its first branch's."""
 
     branches: tuple[tuple[MonodromyBranch, ...], ...]
 
     @property
     def matrices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return tuple(branches[0].matrix for branches in self.branches)
-
-
-def _quadratic_roots(a: float, b: float, c: float) -> list[float]:
-    if a == 0.0:
-        return [] if b == 0.0 else [-c / b]
-    disc = b * b - 4.0 * a * c
-    if disc < 0.0:
-        return []
-    q = -0.5 * (b + math.copysign(math.sqrt(disc), b if b != 0.0 else 1.0))
-    roots = [q / a]
-    if q != 0.0:
-        roots.append(c / q)
-    return roots
 
 
 def reconstruct_monodromy(c: PantsFlagConfig, eigen) -> MonodromyResult:
@@ -416,15 +402,16 @@ def reconstruct_monodromy(c: PantsFlagConfig, eigen) -> MonodromyResult:
     goes out to outer vertex i+2 and outer vertex i+1 comes in to inner
     vertex i+1.  Those image points are only projective, so two scalings
     remain free; they are pinned down by det = 1 together with
-    trace = lam + mu + nu, which reduces to one quadratic.  Each nonzero
-    real root is a branch with the spectrum (lam, mu, nu) by construction.
+    trace = lam + mu + nu, which reduces to one quadratic.  Its two real
+    roots are the branches, each with the spectrum (lam, mu, nu) by construction.
     The unstable-flag condition selects the holonomy among them: the lam-
     and mu-eigenvectors span the flag plane of vertex i.  The flag line l
     annihilates the lam-eigenvector p_i, so this holds exactly when
     l M = nu l, and the flag residual is |l M - nu l| / (nu |l|).
 
-    Takes the three triples ``eigen_from_boundary`` returns.  Returns all
-    branches, smallest flag residual first; NoValidBranch if a vertex has none.
+    Takes the triples ``eigen_from_boundary`` returns, the only ones the CLI
+    passes, so 0 < lam < mu < nu.  Returns both branches per holonomy, smallest
+    flag residual first; DegenerateConfiguration if the quadratic overflows.
     """
     eigen = tuple(eigen)
     if len(eigen) != 3:
@@ -441,34 +428,30 @@ def reconstruct_monodromy(c: PantsFlagConfig, eigen) -> MonodromyResult:
         # M fixes sources[0] and maps sources[1] -> images[1], sources[2] -> images[2].
         sources = (points[i], points[(i + 2) % 3], outer[(i + 1) % 3])
         images = (points[i], outer[(i + 2) % 3], points[(i + 1) % 3])
-        # Rows r, s, t invert the matrix with columns `sources`: they are the
-        # cofactor rows over det_sources (which is +-1).  Row t is
-        # sources[0] ^ sources[1], so its pairing with sources[2] is wedge3(*sources).
         r0, r1, r2 = _cross(sources[1], sources[2])
         s0, s1, s2 = _cross(sources[2], sources[0])
         t0, t1, t2 = _cross(sources[0], sources[1])
-        det_sources = _dot((t0, t1, t2), sources[2])
-        r0, r1, r2 = r0 / det_sources, r1 / det_sources, r2 / det_sources
-        s0, s1, s2 = s0 / det_sources, s1 / det_sources, s2 / det_sources
-        t0, t1, t2 = t0 / det_sources, t1 / det_sources, t2 / det_sources
         x0, x1, x2 = images[0]
         y0, y1, y2 = images[1]
         z0, z1, z2 = images[2]
-        det_ratio = _dot(_cross(images[0], images[1]), images[2]) / det_sources
-        # M = lam x(x)r + beta y(x)s + gamma z(x)t with det M = lam * beta * gamma *
-        # det_ratio = 1, so beta*gamma is fixed; substituting gamma into the trace
-        # condition gives the quadratic in beta.
-        product = 1.0 / (lam * det_ratio)
-        roots = _quadratic_roots(
-            y0 * s0 + y1 * s1 + y2 * s2,
-            lam * (x0 * r0 + x1 * r1 + x2 * r2) - trace,
-            product * (z0 * t0 + z1 * t1 + z2 * t2),
-        )
+        # p_i ^ p_{i+2} = -p_{i+1}, so the determinants of `sources` and `images` are
+        # each minus the -1 coordinate of an outer point, exactly 1.0 in floats, and
+        # the cofactor rows r, s, t invert `sources` as they stand.  M = lam x(x)r +
+        # beta y(x)s + gamma z(x)t has det lam*beta*gamma = 1; putting gamma into the
+        # trace gives qa beta^2 + qb beta + qc = 0 with qa = y.s = rho_{i+1} - 1 > 0
+        # (PantsFlagConfig's bounds keep each crossratio above 1 in floats),
+        # qb = -(mu + nu) < 0 and qc = -1/lam < 0: two real roots of opposite sign,
+        # and q has no cancellation.  Only an overflow of the quadratic can fail.
+        product = 1.0 / lam
+        qa = y0 * s0 + y1 * s1 + y2 * s2
+        qb = lam * (x0 * r0 + x1 * r1 + x2 * r2) - trace
+        qc = product * (z0 * t0 + z1 * t1 + z2 * t2)
+        q = -0.5 * (qb - math.sqrt(qb * qb - 4.0 * qa * qc))
+        if not q < math.inf:
+            raise DegenerateConfiguration(f"holonomy {i + 1}: scaling quadratic overflows a float")
         u0, u1, u2 = lam * x0, lam * x1, lam * x2
         branches = []
-        for beta in roots:
-            if beta == 0.0:
-                continue
+        for beta in (q / qa, qc / q):
             gamma = product / beta
             v0, v1, v2 = beta * y0, beta * y1, beta * y2
             w0, w1, w2 = gamma * z0, gamma * z1, gamma * z2
@@ -488,8 +471,6 @@ def reconstruct_monodromy(c: PantsFlagConfig, eigen) -> MonodromyResult:
             )
             rows = ((m00, m01, m02), (m10, m11, m12), (m20, m21, m22))
             branches.append(MonodromyBranch(rows, drift / norm))
-        if not branches:
-            raise NoValidBranch(f"no real scaling branch for vertex {i + 1}")
         branches.sort(key=lambda br: br.flag_residual)
         all_branches.append(tuple(branches))
     return MonodromyResult(tuple(all_branches))

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convexproj import cli, errors, fileio, flags
+from convexproj import cli, errors, fileio
 from convexproj.pants import boundary_lengths
 from convexproj.sampling import random_surface_goldman
 from convexproj.surface import Gluing, build_decomposition, goldman_to_bd
@@ -329,6 +329,12 @@ def test_fuzzed_documents_end_in_an_exit_code(tmp_path_factory, document):
         assert len(err.splitlines()) == (1 if code >= 2 else 0), err
 
 
+# A valid pants (boundary lengths 2, 3.8 and 2, then 86.6, 43 and 1.2) whose
+# second crossratio (e^-44.6 + 1)(e^-40.8 + 1) reads 1.0 in floats.
+CROSSRATIO_READS_ONE = {"sigma1": [-1.0, -1.0, -44.6], "sigma2": [40.8, -1.0, -1.0],
+                        "tau_plus": 0.0, "tau_minus": -41.0}
+
+
 class TestValidate:
     @pytest.mark.parametrize(
         "name",
@@ -408,6 +414,27 @@ class TestValidate:
         code, err = run_main("validate", path)
         assert code == 0, err
 
+    @pytest.mark.parametrize("system, line", [
+        ("bd", "PASS pants P0: lengths positive, crossratios (5.086161, 1.0, 5.086161)"),
+        ("goldman", "PASS pants P0: crossratio identities, max residual "),
+    ], ids=["bd", "goldman"])
+    def test_crossratio_that_reads_one_passes(self, tmp_path, capsys, system, line):
+        # every crossratio exceeds 1; one that rounds to 1.0 is valid data that convert accepts
+        data = json.loads((SAMPLES / "pants_bd.json").read_text())
+        data["values"]["pants"]["P0"] = CROSSRATIO_READS_ONE
+        path = tmp_path / "bd.json"
+        path.write_text(json.dumps(data))
+        if system == "goldman":
+            converted = tmp_path / "goldman.json"
+            assert cli.main(["convert", str(path), "--to", "goldman", str(converted)]) == 0
+            path = converted
+        capsys.readouterr()
+        assert cli.main(["validate", str(path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert [text for text in out if text.startswith(line)] != []
+        assert not any(text.startswith("FAIL") for text in out)
+        assert out[-1] == "all checks passed"
+
     @pytest.mark.parametrize("pair", [MU_ROUNDS_ONTO_LAMBDA, MU_UNDERFLOWS],
                              ids=["mu_rounds_onto_lambda", "mu_underflows"])
     def test_no_float_spectrum_names_pants(self, tmp_path, pair):
@@ -446,12 +473,19 @@ class TestOracle:
         assert "holonomy" in result.stdout
         assert "spectrum" in result.stdout
 
-    def test_monodromy_error_names_pants(self, monkeypatch):
+    def test_monodromy_overflow_names_pants(self, tmp_path, monkeypatch):
+        # the oracle certifies this pants; holonomy 1's scaling quadratic overflows
         monkeypatch.delenv("CONVEXPROJ_VERBOSE", raising=False)
-        monkeypatch.setattr(flags, "_quadratic_roots", lambda a, b, c: [])
-        code, err = run_main("oracle", SAMPLES / "pants_bd.json", "--monodromy")
+        data = json.loads((SAMPLES / "pants_bd.json").read_text())
+        data["values"]["pants"]["P0"] = {"sigma1": [31.0, 82.0, 4.0],
+                                         "sigma2": [-43.0, -253.0, -211.0],
+                                         "tau_plus": -213.0, "tau_minus": -260.0}
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(data))
+        assert run_main("oracle", path) == (0, "")
+        code, err = run_main("oracle", path, "--monodromy")
         assert code == 3
-        assert err == "error: pants 'P0': no real scaling branch for vertex 1\n"
+        assert err == "error: pants 'P0': holonomy 1: scaling quadratic overflows a float\n"
 
     def test_goldman_file_rejected(self):
         result = run_cli("oracle", SAMPLES / "pants_goldman.json")

@@ -14,7 +14,6 @@ from convexproj.errors import (
     DegenerateConfiguration,
     DomainViolation,
     NonPositiveRatio,
-    NoValidBranch,
     WindowViolation,
 )
 from convexproj.flags import (
@@ -55,6 +54,10 @@ ILL_CONDITIONED = [
     ((-2.1, -2.1, -9.5), (-9.2, -1.6, -8.4)),
     ((-9.0, 3.4, -6.7), (-5.0, -9.8, -8.0)),
 ]
+
+# Certified (residual 0.0), with all six lengths positive; the scaling quadratic
+# of holonomy 1 overflows a float.
+OVERFLOWING_HOLONOMY = FGPants((31.0, 82.0, 4.0), (-43.0, -253.0, -211.0), -213.0, -260.0)
 
 
 def readme_sweep(bound, count):
@@ -407,9 +410,9 @@ class TestOracleCheck:
         monkeypatch.setattr(Flag, "__init__", counting_init)
         report = oracle_check(SYMMETRIC)
         assert counts == {"cross": 4, "Flag": 1}
-        # per holonomy: three cofactor rows and the determinant of the images
+        # per holonomy: the three cofactor rows
         reconstruct_monodromy(report.config, report.eigen)
-        assert counts == {"cross": 16, "Flag": 1}
+        assert counts == {"cross": 13, "Flag": 1}
 
     def test_monodromy_reuses_the_oracle_flags(self, monkeypatch):
         counts = {"Flag": 0, "ProjPoint": 0}
@@ -512,22 +515,83 @@ class TestMonodromy:
             result = reconstruct_monodromy(report.config, report.eigen)
             assert max(branches[0].flag_residual for branches in result.branches) <= 1e-9
 
+    def test_overflowing_quadratic_raises(self):
+        # valid and certified, but holonomy 1 has rho_1 - 1 = 1.8e127 and
+        # 1/lam = 5.2e227, so 4 qa qc overflows and the roots would read inf and -0.0
+        report = oracle_check(OVERFLOWING_HOLONOMY)
+        assert report.max_residual <= ORACLE_GATE
+        with pytest.raises(DegenerateConfiguration,
+                           match=r"^holonomy 1: scaling quadratic overflows a float$"):
+            reconstruct_monodromy(report.config, report.eigen)
+
     def test_wrong_cardinality_rejected(self):
         config = config_from_fg(SYMMETRIC.sigma1, SYMMETRIC.sigma2, 0.0)
         with pytest.raises(ValueError):
             reconstruct_monodromy(config, [EigenTriple(0.2, 1.0, 5.0)])
 
-    def test_no_real_branch_raises(self, monkeypatch):
-        config, eigen, _ = symmetric_monodromy()
-        monkeypatch.setattr(flags, "_quadratic_roots", lambda a, b, c: [])
-        with pytest.raises(NoValidBranch):
-            reconstruct_monodromy(config, eigen)
+
+def holonomy_frames(c, i):
+    """The points holonomy i fixes or moves (sources) and where they go (images)."""
+    points = [f._point for f in c.inner_flags]
+    outer = [p._triple for p in c.outer_points]
+    return ((points[i], points[(i + 2) % 3], outer[(i + 1) % 3]),
+            (points[i], outer[(i + 2) % 3], points[(i + 1) % 3]))
+
+
+class TestHolonomyQuadratic:
+    """The facts reconstruct_monodromy relies on without testing them: both
+    determinants are exactly 1, the quadratic's leading coefficient is a
+    crossratio less 1, and so every holonomy has two real branches."""
+
+    @pytest.mark.parametrize("source", ["sampler", "readme_sweep_10", "readme_sweep_15",
+                                        "readme_sweep_20", "readme_sweep_40"])
+    def test_every_configuration_has_two_real_branches(self, source):
+        if source == "sampler":
+            rng = np.random.default_rng(23)
+            tuples = [random_fg_pants(rng) for _ in range(500)]
+        else:
+            tuples = readme_sweep(float(source.rsplit("_", 1)[1]), 200)
+        built = 0
+        for f in tuples:
+            try:
+                c = config_from_fg(f.sigma1, f.sigma2, f.tau_plus)
+                eigen = [eigen_from_boundary(b) for b in fg_to_goldman(f).boundary]
+            except (DegenerateConfiguration, WindowViolation):
+                continue
+            built += 1
+            rho = pants.crossratios(f)
+            for i in range(3):
+                sources, images = holonomy_frames(c, i)
+                assert flags._dot(flags._cross(sources[0], sources[1]), sources[2]) == 1.0
+                assert flags._dot(flags._cross(images[0], images[1]), images[2]) == 1.0
+                lead = flags._dot(images[1], flags._cross(sources[2], sources[0]))
+                assert lead > 0.0
+                assert abs(lead - (rho[i] - 1.0)) <= 1e-13 * rho[i]
+                assert rho[i] >= 1.0
+            result = reconstruct_monodromy(c, eigen)
+            assert [len(branches) for branches in result.branches] == [2, 2, 2]
+        assert built >= len(tuples) // 2
+
+
+def quadratic_roots(a, b, c):
+    """The earlier kernel's general real roots of a x^2 + b x + c."""
+    if a == 0.0:
+        return [] if b == 0.0 else [-c / b]
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        return []
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b if b != 0.0 else 1.0))
+    roots = [q / a]
+    if q != 0.0:
+        roots.append(c / q)
+    return roots
 
 
 def listcomp_monodromy(c, eigen):
     """Branches as (matrix bytes, flag residual), the smallest residual first,
-    assembled with the listcomps and zips of the earlier kernel; the written-out
-    kernel must do the same products in the same order.
+    assembled with the listcomps and zips of the earlier kernel, which divided by
+    both determinants and solved the general quadratic; the written-out kernel
+    must do the same products in the same order.
 
     On a normalized configuration lam * p_i and gamma * p_{i+1} each have one
     nonzero coordinate, so every matrix entry sums at most two nonzero terms and
@@ -550,7 +614,7 @@ def listcomp_monodromy(c, eigen):
         traces = [flags._dot(images[j], rows[j]) for j in range(3)]
         det_ratio = flags._dot(flags._cross(images[0], images[1]), images[2]) / det_sources
         product = 1.0 / (lam * det_ratio)
-        roots = flags._quadratic_roots(traces[1], lam * traces[0] - trace, product * traces[2])
+        roots = quadratic_roots(traces[1], lam * traces[0] - trace, product * traces[2])
         branches = []
         for beta in roots:
             if beta == 0.0:

@@ -5,6 +5,7 @@ import importlib
 from collections.abc import Sequence
 from pathlib import Path
 
+from convexproj import errors
 from convexproj.flags import oracle_check, reconstruct_monodromy
 from convexproj.pants import FGPants
 
@@ -128,3 +129,13 @@ def test_every_import_is_used():
         unused += [f"{name}:{line} {bound}" for bound, line in imported.items()
                    if bound not in read]
     assert unused == []
+
+
+def test_every_error_class_is_used():
+    # an error class that no other module reads is left over from its last raise
+    read = {node.id for name, tree in _parsed_modules() if name != "errors.py"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    classes = {name for name, value in vars(errors).items()
+               if isinstance(value, type) and issubclass(value, errors.CoordinateError)}
+    assert sorted(classes - read) == []
