@@ -25,12 +25,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateConfiguration, NonPositiveRatio
 from .pants import FGPants, fg_to_goldman
-from .spectral import _REAL, EigenTriple, eigen_from_boundary
+from .spectral import _REAL, EigenTriple, _new, eigen_from_boundary
 
 # Coordinates below this fraction of a point's largest one are not used as
 # the pivot of its canonical representative.
@@ -321,8 +322,7 @@ def fg_from_config(c: PantsFlagConfig) -> tuple[tuple[float, float, float],
     return (sigma1, sigma2, math.log(c.x))
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(NamedTuple):
     """Residuals of the wedge-product recomputation against the input tuple,
     with the configuration and boundary spectra they were computed from."""
 
@@ -362,12 +362,11 @@ def oracle_check(f: FGPants) -> OracleReport:
     e1, e2, e3 = eigen
     tau_sum_res = abs(f.tau_plus + f.tau_minus
                       + sum((math.log(e1.mu), math.log(e2.mu), math.log(e3.mu))))
-    all_res = (*res1, *res2, tau_res, tau_sum_res)
-    return OracleReport(tuple(res1), tuple(res2), tau_res, tau_sum_res, max(all_res), c, eigen)
+    worst = max(*res1, *res2, tau_res, tau_sum_res)
+    return _new(OracleReport, (tuple(res1), tuple(res2), tau_res, tau_sum_res, worst, c, eigen))
 
 
-@dataclass(frozen=True)
-class MonodromyBranch:
+class MonodromyBranch(NamedTuple):
     """One real solution of the scaling equations, with its flag residual.
 
     The matrix is kept as three float rows; `matrix` returns a new ndarray.
@@ -381,8 +380,7 @@ class MonodromyBranch:
         return np.array(self.rows)
 
 
-@dataclass(frozen=True)
-class MonodromyResult:
+class MonodromyResult(NamedTuple):
     """Both real scaling branches of each holonomy, ordered by flag residual;
     the primary matrix of each holonomy is its first branch's."""
 
@@ -470,7 +468,7 @@ def reconstruct_monodromy(c: PantsFlagConfig, eigen) -> MonodromyResult:
                 l0 * m02 + l1 * m12 + l2 * m22 - nu * l2,
             )
             rows = ((m00, m01, m02), (m10, m11, m12), (m20, m21, m22))
-            branches.append(MonodromyBranch(rows, drift / norm))
+            branches.append(_new(MonodromyBranch, (rows, drift / norm)))
         branches.sort(key=lambda br: br.flag_residual)
         all_branches.append(tuple(branches))
     return MonodromyResult(tuple(all_branches))

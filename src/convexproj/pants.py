@@ -217,12 +217,21 @@ def crossratios(f: FGPants) -> tuple[float, float, float]:
     (the triangle invariant cancels in rho_2).  Each factor exceeds 1 or the
     product does, so every crossratio is greater than 1.  Like
     `flags.config_from_fg`, raises DegenerateConfiguration when a crossratio
-    overflows a float, which valid data can make it do.
+    overflows a float, which valid data can make it do; `log_crossratios`
+    holds every crossratio.
     """
-    rho1 = _exp(_log1pexp(-f.sigma2[2]) + _log1pexp(f.sigma1[1]), "rho1", DegenerateConfiguration)
-    rho2 = _exp(_log1pexp(f.sigma1[2]) + _log1pexp(-f.sigma2[0]), "rho2", DegenerateConfiguration)
-    rho3 = _exp(_log1pexp(-f.sigma2[1]) + _log1pexp(f.sigma1[0]), "rho3", DegenerateConfiguration)
-    return (rho1, rho2, rho3)
+    log1, log2, log3 = log_crossratios(f)
+    return (_exp(log1, "rho1", DegenerateConfiguration),
+            _exp(log2, "rho2", DegenerateConfiguration),
+            _exp(log3, "rho3", DegenerateConfiguration))
+
+
+def log_crossratios(f: FGPants) -> tuple[float, float, float]:
+    """log rho_1, log rho_2, log rho_3: each a sum of two `_log1pexp` terms,
+    finite for every finite tuple, also where the crossratio overflows."""
+    return (_log1pexp(-f.sigma2[2]) + _log1pexp(f.sigma1[1]),
+            _log1pexp(f.sigma1[2]) + _log1pexp(-f.sigma2[0]),
+            _log1pexp(-f.sigma2[1]) + _log1pexp(f.sigma1[0]))
 
 
 def solve_s(rho: float, lam_prev: float, lam_self: float, lam_next: float,
@@ -254,8 +263,20 @@ def quadratic_value(g: GoldmanPants, i: int) -> float:
     return 1.0 + middle * g.s + coeff * g.s * g.s
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
+def log_quadratic_value(g: GoldmanPants, i: int) -> float:
+    """log of `quadratic_value(g, i)`, its three positive terms summed in log s
+    and log lambda, so that it holds where s*s overflows a float."""
+    log_lam = [math.log(b.lam) for b in g.boundary]
+    log_prev, log_self, log_next = log_lam[(i - 1) % 3], log_lam[i], log_lam[(i + 1) % 3]
+    log_s = math.log(g.s)
+    terms = (0.0,
+             math.log(g.boundary[i].tau) + 0.5 * (log_self + log_prev - log_next) + log_s,
+             log_prev - log_next + 2.0 * log_s)
+    top = max(terms)
+    return top + math.log(sum(math.exp(term - top) for term in terms))
+
+
+class ConsistencyReport(NamedTuple):
     """Residuals of the three crossratio identities for one Goldman tuple.
 
     The identities involve (lambda_i, tau_i) and s only; the parameter t
@@ -273,4 +294,13 @@ def internal_consistency(g: GoldmanPants) -> ConsistencyReport:
     f = goldman_to_fg(g)
     rho = crossratios(f)
     residuals = tuple(abs(rho[i] - quadratic_value(g, i)) for i in range(3))
-    return ConsistencyReport(rho, residuals, max(residuals))
+    return _new(ConsistencyReport, (rho, residuals, max(residuals)))
+
+
+def log_consistency(g: GoldmanPants) -> ConsistencyReport:
+    """`internal_consistency` in log space, for a tuple whose crossratios
+    overflow a float: ``crossratios`` holds log rho_i and ``residuals`` the
+    differences from `log_quadratic_value`, each a relative residual."""
+    logs = log_crossratios(goldman_to_fg(g))
+    residuals = tuple(abs(logs[i] - log_quadratic_value(g, i)) for i in range(3))
+    return _new(ConsistencyReport, (logs, residuals, max(residuals)))

@@ -37,8 +37,10 @@ class WindowCheck(NamedTuple):
         return not self.failures
 
 
-# The checks below build their results with tuple.__new__, which is what a
-# NamedTuple's own constructor calls, without a Python-level call per result.
+# What a check or kernel returns is a NamedTuple (what a caller builds and the
+# class checks is a frozen dataclass).  The hot ones are built with
+# tuple.__new__, which is what a NamedTuple's own constructor calls, without a
+# Python-level call per result.
 _new = tuple.__new__
 _REAL = (int, float)
 # The largest float: nan, the infinities and larger ints are not finite reals.
@@ -106,11 +108,18 @@ def eigen_from_boundary(b: BoundaryInvariant) -> EigenTriple:
 
     mu and nu are the roots of z**2 - tau*z + 1/lambda = 0; the smaller root
     is computed from the product of roots to avoid cancellation when the
-    discriminant is close to tau**2.  Raises WindowViolation when rounding
-    near a bound (or tau**2 overflowing) leaves no float spectrum lam < mu < nu.
+    discriminant is close to tau**2.  Where tau**2 overflows a float, nu is
+    taken as tau (1 + sqrt(1 - 4/(lam tau**2))) / 2 with the ratio divided out
+    step by step.  Raises WindowViolation when rounding near a bound leaves no
+    float spectrum lam < mu < nu.
     """
-    disc = b.tau * b.tau - 4.0 / b.lam
-    nu = 0.5 * (b.tau + math.sqrt(disc)) if disc > 0.0 else math.nan
+    square = b.tau * b.tau
+    if square < math.inf:
+        disc = square - 4.0 / b.lam
+        nu = 0.5 * (b.tau + math.sqrt(disc)) if disc > 0.0 else math.nan
+    else:
+        disc = 1.0 - 4.0 / b.tau / (b.lam * b.tau)
+        nu = 0.5 * b.tau * (1.0 + math.sqrt(disc)) if disc > 0.0 else math.nan
     mu = 1.0 / (b.lam * nu)
     if not b.lam < mu < nu:
         raise WindowViolation(

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .errors import (
     BoundaryCurve,
@@ -40,7 +41,7 @@ from .errors import (
     located,
 )
 from .pants import FGPants, GoldmanPants, boundary_lengths, fg_to_goldman, goldman_to_fg
-from .spectral import BoundaryInvariant, LengthPair, reverse_orientation
+from .spectral import BoundaryInvariant, LengthPair, _new, reverse_orientation
 
 # Residual accepted when validating closure of externally produced data;
 # internally converted data stays far below this.
@@ -262,8 +263,7 @@ def goldman_to_bd(d: PantsDecomposition, g: SurfaceGoldman) -> SurfaceBD:
     return SurfaceBD(fg, shears)
 
 
-@dataclass(frozen=True)
-class CurveClosure:
+class CurveClosure(NamedTuple):
     """Length comparison across one internal curve.
 
     Reversing orientation swaps the two length functions, so the plus-side
@@ -281,8 +281,7 @@ class CurveClosure:
         return max(self.residuals) <= CLOSURE_TOL
 
 
-@dataclass(frozen=True)
-class ClosureReport:
+class ClosureReport(NamedTuple):
     curves: dict[str, CurveClosure]
 
     @property
@@ -308,8 +307,9 @@ def closure_from_lengths(d: PantsDecomposition, lengths: dict[str, tuple]) -> Cl
     """``validate_closure`` from the three ``boundary_lengths`` pairs of each pants key."""
     sides = [(g.curve, lengths[g.plus[0]][g.plus[1]], lengths[g.minus[0]][g.minus[1]])
              for g in d.gluings]
-    return ClosureReport({curve: CurveClosure(p, m, (abs(p.ell1 - m.ell2), abs(p.ell2 - m.ell1)))
-                          for curve, p, m in sides})
+    return ClosureReport({
+        curve: _new(CurveClosure, (p, m, (abs(p.ell1 - m.ell2), abs(p.ell2 - m.ell1))))
+        for curve, p, m in sides})
 
 
 def bd_to_goldman(d: PantsDecomposition, b: SurfaceBD) -> SurfaceGoldman:
@@ -367,8 +367,7 @@ def bulge_flow(d: PantsDecomposition, coords, curve: str, v: float):
     return replace(coords, curve_shears={**coords.curve_shears, curve: (a - 3.0 * v, b + 3.0 * v)})
 
 
-@dataclass(frozen=True)
-class CoordinateCount:
+class CoordinateCount(NamedTuple):
     goldman_total: int
     bd_raw: int
     closure_constraints: int

@@ -148,9 +148,10 @@ def set_window(curve, lam, tau):
     return mutator
 
 
-# (lambda, tau) pairs inside both window bounds with no float spectrum lambda < mu < nu
+# (lambda, tau) pairs inside both window bounds with no float spectrum lambda < mu < nu:
+# mu rounds onto lambda, from tau**2 in range and from tau**2 past the float range
 MU_ROUNDS_ONTO_LAMBDA = (1e-30, 9.999999999999998e59)
-MU_UNDERFLOWS = (1e-100, 9.99999999999999e199)
+TAU_SQUARED_OVERFLOWS = (3e-110, 1.1111111111111111e219)
 
 
 def expect_one_error(result, code, message):
@@ -177,11 +178,11 @@ class TestRejectedInput:
              "values.curves['a1']: tau=6.0 is not above the lower bound"),
             (set_window("a1", 2.0, 2.0), 3, "values.curves['a1']: lambda=2.0 is not below 1"),
             (set_window("a1", *MU_ROUNDS_ONTO_LAMBDA), 3, "pants 'P0': lambda=1e-30, tau="),
-            (set_window("a1", *MU_UNDERFLOWS), 3, "pants 'P0': lambda=1e-100, tau="),
+            (set_window("a1", *TAU_SQUARED_OVERFLOWS), 3, "pants 'P0': lambda=3e-110, tau="),
         ],
         ids=["s_negative", "t_zero", "huge_integer", "duplicate_key", "tau_below_window",
              "lambda_underflow", "lambda_not_below_one", "mu_rounds_onto_lambda",
-             "mu_underflows"],
+             "tau_squared_overflows"],
     )
     def test_convert_to_bd(self, tmp_path, mutator, code, message):
         bad = tmp_path / "bad.json"
@@ -435,13 +436,38 @@ class TestValidate:
         assert not any(text.startswith("FAIL") for text in out)
         assert out[-1] == "all checks passed"
 
-    @pytest.mark.parametrize("pair", [MU_ROUNDS_ONTO_LAMBDA, MU_UNDERFLOWS],
-                             ids=["mu_rounds_onto_lambda", "mu_underflows"])
+    @pytest.mark.parametrize("pair", [MU_ROUNDS_ONTO_LAMBDA, TAU_SQUARED_OVERFLOWS],
+                             ids=["mu_rounds_onto_lambda", "tau_squared_overflows"])
     def test_no_float_spectrum_names_pants(self, tmp_path, pair):
         bad = tmp_path / "edge.json"
         bad.write_text(set_window("a1", *pair)((SAMPLES / "pants_goldman.json").read_text()))
         result = run_cli("validate", bad)
         expect_one_error(result, 3, f"pants 'P0': lambda={pair[0]!r}, tau=")
+
+    def test_converted_far_out_file_reads_back(self, tmp_path):
+        # the genus-2 sample's shear data times 200 converts to curves such as
+        # lambda = 1e-200, tau = 1.6e260, whose tau**2 overflows a float
+        bd = tmp_path / "bd.json"
+        assert cli.main(["convert", str(SAMPLES / "genus2_goldman.json"), "--to", "bd",
+                         str(bd)]) == 0
+        data = json.loads(bd.read_text())
+        for entry in data["values"]["pants"].values():
+            for key in ("sigma1", "sigma2"):
+                entry[key] = [200 * value for value in entry[key]]
+            entry["tau_plus"] *= 200
+            entry["tau_minus"] *= 200
+        for entry in data["values"]["curves"].values():
+            entry["sigma1_C"] *= 200
+            entry["sigma2_C"] *= 200
+        bd.write_text(json.dumps(data))
+        goldman = tmp_path / "goldman.json"
+        assert run_main("convert", bd, "--to", "goldman", goldman) == (0, "")
+        curves = json.loads(goldman.read_text())["values"]["curves"].values()
+        tau = max(entry["tau"] for entry in curves)
+        assert tau * tau == float("inf")
+        code, err = run_main("validate", goldman)
+        assert code in (0, 1) and err == ""
+        assert run_main("convert", goldman, "--to", "bd", tmp_path / "back.json") == (0, "")
 
 
 def write_bd_pants(path, sigma1, sigma2):
@@ -487,6 +513,21 @@ class TestOracle:
         assert code == 3
         assert err == "error: pants 'P0': holonomy 1: scaling quadratic overflows a float\n"
 
+    def test_monodromy_gates_flag_residuals(self, tmp_path, capsys):
+        # the oracle certifies this pants, but holonomy 3's flag residual is 1.581
+        data = json.loads((SAMPLES / "pants_bd.json").read_text())
+        data["values"]["pants"]["P0"] = {"sigma1": [107.0, 4.0, 101.0],
+                                         "sigma2": [-340.0, -265.0, -211.0],
+                                         "tau_plus": -73.0, "tau_minus": 29.0}
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["oracle", str(path)]) == 0
+        capsys.readouterr()
+        assert cli.main(["oracle", str(path), "--monodromy"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert "flag residual 1.581e+00" in out[3]
+        assert out[-1] == "worst residual 1.581e+00"
+
     def test_goldman_file_rejected(self):
         result = run_cli("oracle", SAMPLES / "pants_goldman.json")
         assert result.returncode == 2
@@ -518,18 +559,18 @@ class TestOracle:
 
 
 class TestOverflow:
-    """Valid data whose Goldman values or crossratios overflow a float exits 3
-    naming the pants, with no traceback."""
+    """Valid data whose Goldman values overflow a float exits 3 naming the
+    pants, with no traceback; `validate` takes crossratios that overflow in
+    log space."""
 
     @pytest.mark.parametrize(
         "command, message",
         [
-            (("validate",), "pants 'P0': rho1 = exp(800.3132616875182) overflows a float"),
             (("oracle",), "pants 'P0': t = exp(801.0) overflows a float"),
             (("convert", "--to", "goldman", "out.json"),
              "pants 'P0': t = exp(801.0) overflows a float"),
         ],
-        ids=["validate", "oracle", "convert"],
+        ids=["oracle", "convert"],
     )
     def test_shear_minus_800(self, tmp_path, command, message):
         bad = write_bd_pants(tmp_path / "bad.json", *UNREPRESENTABLE["overflows"])
@@ -564,10 +605,34 @@ class TestOverflow:
         assert not (tmp_path / "out.json").exists()
 
     def test_goldman_crossratio_overflows(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text(set_pants_value("s", 1e300)((SAMPLES / "pants_goldman.json").read_text()))
-        result = run_cli("validate", bad)
-        expect_one_error(result, 3, "pants 'P0': rho1 = exp(")
+        # convert accepts s = 1e300; validate judges the identities in log space
+        far = tmp_path / "far.json"
+        far.write_text(set_pants_value("s", 1e300)((SAMPLES / "pants_goldman.json").read_text()))
+        assert run_main("convert", far, "--to", "bd", tmp_path / "bd.json") == (0, "")
+        result = run_cli("validate", far)
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert result.stderr == ""
+        assert ("PASS pants P0: crossratio identities in log space, max residual "
+                in result.stdout)
+
+    @pytest.mark.parametrize("source", ["s_1e300", "shear_minus_800"])
+    def test_bd_crossratio_overflows(self, tmp_path, source):
+        # every crossratio of the converted s = 1e300 file is e^1381.55, and
+        # sigma2 = -800 makes rho1 e^800.3
+        if source == "s_1e300":
+            goldman = tmp_path / "far.json"
+            goldman.write_text(set_pants_value("s", 1e300)(
+                (SAMPLES / "pants_goldman.json").read_text()))
+            bd = tmp_path / "bd.json"
+            assert run_main("convert", goldman, "--to", "bd", bd) == (0, "")
+            line = "log crossratios (1381.551056, 1381.551056, 1381.551056)"
+        else:
+            bd = write_bd_pants(tmp_path / "bd.json", *UNREPRESENTABLE["overflows"])
+            line = "log crossratios (800.313262, 1.626523, 1.626523)"
+        result = run_cli("validate", bd)
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert result.stderr == ""
+        assert result.stdout.splitlines()[0] == f"PASS pants P0: lengths positive, {line}"
 
 
 class TestFlow:

@@ -13,6 +13,9 @@ from convexproj.pants import (
     fg_to_goldman,
     goldman_to_fg,
     internal_consistency,
+    log_consistency,
+    log_crossratios,
+    log_quadratic_value,
     quadratic_value,
     solve_s,
     validate_fg_domain,
@@ -273,6 +276,25 @@ class TestInternalConsistency:
         expected = 1.0 + g.boundary[0].tau * math.sqrt(lam[0] * lam[2] / lam[1]) * g.s \
             + (lam[2] / lam[1]) * g.s**2
         assert quadratic_value(g, 0) == pytest.approx(expected, rel=1e-14)
+
+    def test_log_space_matches_float_space(self):
+        rng = np.random.default_rng(61)
+        for _ in range(200):
+            g = random_goldman_pants(rng)
+            rho = crossratios(goldman_to_fg(g))
+            assert log_crossratios(goldman_to_fg(g)) == pytest.approx(
+                tuple(map(math.log, rho)), rel=1e-14, abs=1e-14)
+            for i in range(3):
+                assert log_quadratic_value(g, i) == pytest.approx(
+                    math.log(quadratic_value(g, i)), rel=1e-13, abs=1e-13)
+            assert log_consistency(g).max_residual <= 1e-9
+
+    def test_log_space_where_crossratios_overflow(self):
+        # s = 1e300 puts every crossratio near e^1381.55, where s*s overflows
+        g = GoldmanPants(hyperbolic_goldman().boundary, 1e300, 5.0 + SQ5)
+        report = log_consistency(g)
+        assert report.crossratios == pytest.approx((2 * math.log(1e300),) * 3, rel=1e-12)
+        assert report.max_residual <= 1e-12
 
 
 class TestHyperbolicCharacterization:

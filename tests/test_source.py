@@ -1,11 +1,14 @@
 """Checks on the library source itself."""
 
 import ast
+import dataclasses
 import importlib
 from collections.abc import Sequence
 from pathlib import Path
 
-from convexproj import errors
+import pytest
+
+from convexproj import errors, flags, pants, spectral, surface
 from convexproj.flags import oracle_check, reconstruct_monodromy
 from convexproj.pants import FGPants
 
@@ -139,3 +142,59 @@ def test_every_error_class_is_used():
     classes = {name for name, value in vars(errors).items()
                if isinstance(value, type) and issubclass(value, errors.CoordinateError)}
     assert sorted(classes - read) == []
+
+
+def _imports(tree) -> set[str]:
+    """The top-level packages a module imports, and each convexproj module
+    it imports by its file name."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.partition(".")[0])
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module] if node.module else [alias.name for alias in node.names]
+            found.update(f"{name}.py" for name in names)
+    return found
+
+
+def test_numpy_stays_off_the_cli_path():
+    # only flags and sampling import numpy, and the CLI never reaches sampling,
+    # so taking numpy off `import convexproj.cli` is a change to flags alone
+    imports = {name: _imports(tree) for name, tree in _parsed_modules()}
+    assert sorted(name for name, found in imports.items() if "numpy" in found) == [
+        "flags.py", "sampling.py"]
+    reached, frontier = {"cli.py"}, ["cli.py"]
+    while frontier:
+        for name in {found for found in imports[frontier.pop()] if found in imports} - reached:
+            reached.add(name)
+            frontier.append(name)
+    assert "flags.py" in reached
+    assert "sampling.py" not in reached
+
+
+# What a check or kernel returns, with its fields in order.
+RESULT_RECORDS = {
+    spectral.WindowCheck: ("lower", "upper", "failures"),
+    spectral.EigenTriple: ("lam", "mu", "nu"),
+    spectral.LengthPair: ("ell1", "ell2"),
+    pants.DomainCheck: ("lengths", "failures"),
+    pants.ConsistencyReport: ("crossratios", "residuals", "max_residual"),
+    flags.OracleReport: ("sigma1_residuals", "sigma2_residuals", "tau_plus_residual",
+                         "tau_sum_residual", "max_residual", "config", "eigen"),
+    flags.MonodromyBranch: ("rows", "flag_residual"),
+    flags.MonodromyResult: ("branches",),
+    surface.CurveClosure: ("plus_lengths", "minus_lengths", "residuals"),
+    surface.ClosureReport: ("curves",),
+    surface.CoordinateCount: ("goldman_total", "bd_raw", "closure_constraints"),
+}
+
+
+@pytest.mark.parametrize("record", RESULT_RECORDS, ids=lambda record: record.__name__)
+def test_results_are_named_tuples(record):
+    # a record that a check or kernel returns is a NamedTuple; one a caller
+    # builds and the class checks is a frozen dataclass
+    assert issubclass(record, tuple) and not dataclasses.is_dataclass(record)
+    assert record._fields == RESULT_RECORDS[record]
+    assert record.__doc__

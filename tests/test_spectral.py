@@ -61,17 +61,27 @@ class TestEigenFromBoundary:
         "lam, tau",
         [
             (1e-30, 9.999999999999998e59),
-            (1e-100, 9.99999999999999e199),
+            (3e-110, 1.1111111111111111e219),
             (1e-10, 200000.0),
             (4.894300578615495e-153, 2.858805946984922e76),
+            (4.7707371e-316, 9.156663470561607e157),
         ],
         ids=["mu_rounds_onto_lambda", "tau_squared_overflows", "discriminant_zero",
-             "discriminant_negative"],
+             "discriminant_negative", "discriminant_negative_tau_squared_overflows"],
     )
     def test_no_float_spectrum_inside_window(self, lam, tau):
         b = BoundaryInvariant(lam, tau)
         with pytest.raises(WindowViolation, match="no spectrum lambda < mu < nu"):
             eigen_from_boundary(b)
+
+    @pytest.mark.parametrize("lam, tau", [(1e-100, 9.99999999999999e199),
+                                          (6.772848111380327e-82, 3.9711985401406063e161)])
+    def test_spectrum_where_tau_squared_overflows(self, lam, tau):
+        # tau**2 is inf; nu = tau (1 + sqrt(1 - 4/(lam tau^2))) / 2 needs no square
+        e = eigen_from_boundary(BoundaryInvariant(lam, tau))
+        assert lam < e.mu < e.nu
+        assert e.nu == pytest.approx(tau, rel=1e-15)
+        assert e.mu == pytest.approx(1.0 / (lam * tau), rel=1e-15)
 
 
 class TestBoundaryFromEigen:

@@ -34,6 +34,7 @@ def test_compare_outputs_reports_each_difference(tmp_path):
     assert result.returncode == 1
     lines = result.stdout.splitlines()
     assert "g2_s1.goldman.validate: stdout line" in "\n".join(lines)
+    assert "edge.s_1e300.validate: stdout line" in "\n".join(lines)
     assert all(": stdout " in line for line in lines[:-1])
     assert not lines[-1].endswith(": 0 with a difference")
 

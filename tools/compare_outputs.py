@@ -8,16 +8,18 @@ such as the `src/` of two checkouts.  The inputs are the goldman and bd
 documents of `perfbench/generate.py` (closed ring chains) for each genus and
 seed, its rejection inputs, three goldman documents whose decomposition is
 refused (`reject_slots`), four documents at the edges of the coordinates'
-range (`edge_inputs`), and the files under `samples/`; they are written once,
-with PARENT_SRC's library.  On each input the script runs `convert` to
-both systems, `validate`, `flow` (a twist and a bulge), `render`, `oracle` and
-`oracle --monodromy` (the oracle only up to --oracle-max-genus), each side in
-one worker process that calls `convexproj.cli.main`.  Every command that
-writes a file runs a second time (its id ends in `.overwrite`) onto a path
-that already holds a longer stale file, so a stale tail left behind, or a
-failed command that touched the file, shows as a difference.  It prints every
-difference in exit code, stdout, stderr or output file, then one summary line,
-and exits 1 when anything differs.  Nothing under `perfbench/` is changed.
+range (`edge_inputs`), written once with PARENT_SRC's library, then two
+one-pants documents edited from `samples/` that reach the oracle's and
+`validate`'s float limits (`pants_edge_inputs`), and the files under
+`samples/`.  On each input the script runs `convert` to both systems,
+`validate`, `flow` (a twist and a bulge), `render`, `oracle` and `oracle
+--monodromy` (the oracle only up to --oracle-max-genus), each side in one
+worker process that calls `convexproj.cli.main`.  Every command that writes a
+file runs a second time (its id ends in `.overwrite`) onto a path that already
+holds a longer stale file, so a stale tail left behind, or a failed command
+that touched the file, shows as a difference.  It prints every difference in
+exit code, stdout, stderr or output file, then one summary line, and exits 1
+when anything differs.  Nothing under `perfbench/` is changed.
 """
 
 from __future__ import annotations
@@ -80,6 +82,22 @@ def edge_inputs(goldman_text: str, bd_text: str) -> dict[str, str]:
                 entry[key] *= factor
         docs[f"far_{factor}"] = doc
     return {kind: json.dumps(doc, indent=2) + "\n" for kind, doc in docs.items()}
+
+
+def pants_edge_inputs() -> dict[str, str]:
+    """The pants sample with a far-out tuple that the oracle certifies while
+    holonomy 3's flag residual is 1.58 (`far_monodromy`), and the goldman
+    pants sample with s = 1e300, whose crossratios overflow a float (`s_1e300`)."""
+    with open(os.path.join(SAMPLES, "pants_bd.json"), encoding="utf-8") as handle:
+        bd = json.load(handle)
+    bd["values"]["pants"]["P0"] = {"sigma1": [107.0, 4.0, 101.0],
+                                   "sigma2": [-340.0, -265.0, -211.0],
+                                   "tau_plus": -73.0, "tau_minus": 29.0}
+    with open(os.path.join(SAMPLES, "pants_goldman.json"), encoding="utf-8") as handle:
+        goldman = json.load(handle)
+    goldman["values"]["pants"]["P0"]["s"] = 1e300
+    return {kind: json.dumps(doc, indent=2) + "\n"
+            for kind, doc in (("far_monodromy", bd), ("s_1e300", goldman))}
 
 
 def generate(work: str, genera: list[int], seeds: list[int]) -> list[tuple[str, str]]:
@@ -222,6 +240,11 @@ def main(argv=None) -> int:
     try:
         inputs = [tuple(pair) for pair in call_worker(
             "generate", sides["parent"], work, {"genus": args.genus, "seeds": args.seeds})]
+        for kind, text in pants_edge_inputs().items():
+            path = os.path.join(work, f"edge.{kind}.json")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            inputs.append((f"edge.{kind}", path))
         inputs += [(f"sample.{name[:-5]}", os.path.join(SAMPLES, name))
                    for name in sorted(os.listdir(SAMPLES))]
         jobs = commands(inputs, args.oracle_max_genus)
