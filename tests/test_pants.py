@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from convexproj.errors import DomainViolation, NoPositiveRoot
+from convexproj.errors import CoordinateError, DomainViolation, NoPositiveRoot
 from convexproj.pants import (
     FGPants,
     GoldmanPants,
@@ -13,7 +13,6 @@ from convexproj.pants import (
     fg_to_goldman,
     goldman_to_fg,
     internal_consistency,
-    log_consistency,
     log_crossratios,
     log_quadratic_value,
     quadratic_value,
@@ -270,6 +269,24 @@ class TestInternalConsistency:
             report = internal_consistency(random_goldman_pants(rng))
             assert report.max_residual <= 1e-9
 
+    def test_far_out_sweep(self):
+        # shears and triangle invariants out to 350, where the float quadratic
+        # underflows or overflows its lambda products; the identities hold by
+        # algebra for every tuple that converts
+        rng = np.random.default_rng(2016)
+        checked = 0
+        for row in rng.uniform(-350.0, 350.0, size=(20000, 8)):
+            f = FGPants(tuple(row[:3]), tuple(row[3:6]), row[6], row[7])
+            if not validate_fg_domain(f):
+                continue
+            try:
+                g = fg_to_goldman(f)
+            except CoordinateError:
+                continue
+            checked += 1
+            assert internal_consistency(g).max_residual <= 1e-9, f
+        assert checked > 1000
+
     def test_quadratic_value_matches_definition(self):
         g = hyperbolic_goldman()
         lam = [b.lam for b in g.boundary]
@@ -287,12 +304,12 @@ class TestInternalConsistency:
             for i in range(3):
                 assert log_quadratic_value(g, i) == pytest.approx(
                     math.log(quadratic_value(g, i)), rel=1e-13, abs=1e-13)
-            assert log_consistency(g).max_residual <= 1e-9
+            assert internal_consistency(g).max_residual <= 1e-9
 
     def test_log_space_where_crossratios_overflow(self):
         # s = 1e300 puts every crossratio near e^1381.55, where s*s overflows
         g = GoldmanPants(hyperbolic_goldman().boundary, 1e300, 5.0 + SQ5)
-        report = log_consistency(g)
+        report = internal_consistency(g)
         assert report.crossratios == pytest.approx((2 * math.log(1e300),) * 3, rel=1e-12)
         assert report.max_residual <= 1e-12
 

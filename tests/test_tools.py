@@ -35,6 +35,7 @@ def test_compare_outputs_reports_each_difference(tmp_path):
     lines = result.stdout.splitlines()
     assert "g2_s1.goldman.validate: stdout line" in "\n".join(lines)
     assert "edge.s_1e300.validate: stdout line" in "\n".join(lines)
+    assert "g2_s1.bd.convert_goldman.validate: stdout line" in "\n".join(lines)
     assert all(": stdout " in line for line in lines[:-1])
     assert not lines[-1].endswith(": 0 with a difference")
 

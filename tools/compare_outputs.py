@@ -8,13 +8,16 @@ such as the `src/` of two checkouts.  The inputs are the goldman and bd
 documents of `perfbench/generate.py` (closed ring chains) for each genus and
 seed, its rejection inputs, three goldman documents whose decomposition is
 refused (`reject_slots`), four documents at the edges of the coordinates'
-range (`edge_inputs`), written once with PARENT_SRC's library, then two
+range (`edge_inputs`), written once with PARENT_SRC's library, then three
 one-pants documents edited from `samples/` that reach the oracle's and
 `validate`'s float limits (`pants_edge_inputs`), and the files under
 `samples/`.  On each input the script runs `convert` to both systems,
 `validate`, `flow` (a twist and a bulge), `render`, `oracle` and `oracle
 --monodromy` (the oracle only up to --oracle-max-genus), each side in one
-worker process that calls `convexproj.cli.main`.  Every command that writes a
+worker process that calls `convexproj.cli.main`.  Each file that `convert`
+writes is then validated (its id ends in `.convert_bd.validate` or
+`.convert_goldman.validate`), so a change in whether `validate` reads back
+what `convert` wrote shows as a difference.  Every command that writes a
 file runs a second time (its id ends in `.overwrite`) onto a path that already
 holds a longer stale file, so a stale tail left behind, or a failed command
 that touched the file, shows as a difference.  It prints every difference in
@@ -86,18 +89,25 @@ def edge_inputs(goldman_text: str, bd_text: str) -> dict[str, str]:
 
 def pants_edge_inputs() -> dict[str, str]:
     """The pants sample with a far-out tuple that the oracle certifies while
-    holonomy 3's flag residual is 1.58 (`far_monodromy`), and the goldman
-    pants sample with s = 1e300, whose crossratios overflow a float (`s_1e300`)."""
+    holonomy 3's flag residual is 1.58 (`far_monodromy`), the goldman pants
+    sample with s = 1e300, whose crossratios overflow a float (`s_1e300`),
+    and the pants sample with a far-out tuple whose converted goldman file
+    puts the float crossratio quadratics out of range (`far_identity`)."""
     with open(os.path.join(SAMPLES, "pants_bd.json"), encoding="utf-8") as handle:
-        bd = json.load(handle)
-    bd["values"]["pants"]["P0"] = {"sigma1": [107.0, 4.0, 101.0],
-                                   "sigma2": [-340.0, -265.0, -211.0],
-                                   "tau_plus": -73.0, "tau_minus": 29.0}
+        text = handle.read()
+    monodromy, identity = json.loads(text), json.loads(text)
+    monodromy["values"]["pants"]["P0"] = {"sigma1": [107.0, 4.0, 101.0],
+                                          "sigma2": [-340.0, -265.0, -211.0],
+                                          "tau_plus": -73.0, "tau_minus": 29.0}
+    identity["values"]["pants"]["P0"] = {"sigma1": [-258.0, -57.0, 30.0],
+                                         "sigma2": [-89.0, -8.0, -185.0],
+                                         "tau_plus": -150.0, "tau_minus": -129.0}
     with open(os.path.join(SAMPLES, "pants_goldman.json"), encoding="utf-8") as handle:
         goldman = json.load(handle)
     goldman["values"]["pants"]["P0"]["s"] = 1e300
     return {kind: json.dumps(doc, indent=2) + "\n"
-            for kind, doc in (("far_monodromy", bd), ("s_1e300", goldman))}
+            for kind, doc in (("far_monodromy", monodromy), ("s_1e300", goldman),
+                              ("far_identity", identity))}
 
 
 def generate(work: str, genera: list[int], seeds: list[int]) -> list[tuple[str, str]]:
@@ -125,7 +135,8 @@ def generate(work: str, genera: list[int], seeds: list[int]) -> list[tuple[str, 
 
 
 def commands(inputs: list[tuple[str, str]], oracle_max_genus: int) -> list[tuple[str, list[str]]]:
-    """(id, argv) of every command; "{out}" in an argv is the command's output file."""
+    """(id, argv) of every command; "{out}" in an argv is the command's output
+    file, and "{dir}" the directory that holds every output file."""
     jobs = []
     for name, path in inputs:
         genus = int(name[1:name.index("_")]) if name.startswith("g") else 0
@@ -146,6 +157,10 @@ def commands(inputs: list[tuple[str, str]], oracle_max_genus: int) -> list[tuple
             jobs.append((f"{name}.{command}", argv))
             if "{out}" in argv:
                 jobs.append((f"{name}.{command}{OVERWRITE}", argv))
+            if command.startswith("convert_"):
+                # a file that convert writes must read back
+                jobs.append((f"{name}.{command}.validate",
+                             ["validate", os.path.join("{dir}", f"{name}.{command}")]))
     return jobs
 
 
@@ -167,7 +182,7 @@ def run_jobs(jobs: list[tuple[str, list[str]]], out_dir: str) -> dict:
         path = os.path.join(out_dir, job)
         if job.endswith(OVERWRITE):
             prefill(path, path[:-len(OVERWRITE)])
-        argv = [a.replace("{out}", path) for a in argv]
+        argv = [a.replace("{out}", path).replace("{dir}", out_dir) for a in argv]
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = cli.main(argv)
