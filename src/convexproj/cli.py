@@ -4,6 +4,7 @@ Subcommands: convert, validate, oracle, flow, render.  Exit codes:
 
     0  success (all checks passed)
     1  validation failures
+    2  a refused command line, after argparse's usage line and message
     2  parse or schema error: SchemaError, CountMismatch, SlotReuse, NonNegativeEuler
     3  domain, window or closure violation: every other CoordinateError
     4  unknown or boundary curve for a flow: UnknownCurve, BoundaryCurve
@@ -24,6 +25,7 @@ import gc
 import os
 import sys
 import traceback
+from typing import Callable, NamedTuple
 
 from . import fileio
 from .errors import CoordinateError, DegenerateConfiguration, DomainViolation, SchemaError, located
@@ -191,6 +193,45 @@ def cmd_render(args) -> int:
     return 0
 
 
+class Command(NamedTuple):
+    """One subcommand: its handler, its help line, and its arguments as
+    (name, add_argument keywords) pairs, in the order they are declared."""
+
+    handler: Callable[[argparse.Namespace], int]
+    help: str
+    arguments: tuple[tuple[str, dict], ...]
+
+
+# The one declaration of the command line: build_parser and match both read it.
+COMMANDS = {
+    "convert": Command(cmd_convert, "convert between goldman and bd coordinates", (
+        ("input", {}),
+        ("--to", {"required": True, "choices": (fileio.GOLDMAN, fileio.BD)}),
+        ("output", {}),
+    )),
+    "validate": Command(cmd_validate, "window, domain, closure and consistency checks", (
+        ("input", {}),
+    )),
+    "oracle": Command(cmd_oracle, "recompute invariants from flag geometry", (
+        ("input", {}),
+        ("--monodromy", {"action": "store_true",
+                         "help": "also reconstruct boundary holonomy matrices"}),
+    )),
+    "flow": Command(cmd_flow, "twist and/or bulge along an internal curve", (
+        ("input", {}),
+        ("--curve", {"required": True}),
+        ("--twist", {"type": float, "default": 0.0}),
+        ("--bulge", {"type": float, "default": 0.0}),
+        ("output", {}),
+    )),
+    "render": Command(cmd_render, "draw the normalized flag configuration as SVG", (
+        ("input", {}),
+        ("--pants", {"required": True}),
+        ("output", {}),
+    )),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process; `parse_args` leaves it unchanged."""
@@ -200,38 +241,68 @@ def build_parser() -> argparse.ArgumentParser:
                     "projective structures on surfaces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("convert", help="convert between goldman and bd coordinates")
-    p.add_argument("input")
-    p.add_argument("--to", required=True, choices=(fileio.GOLDMAN, fileio.BD))
-    p.add_argument("output")
-    p.set_defaults(func=cmd_convert)
-
-    p = sub.add_parser("validate", help="window, domain, closure and consistency checks")
-    p.add_argument("input")
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("oracle", help="recompute invariants from flag geometry")
-    p.add_argument("input")
-    p.add_argument("--monodromy", action="store_true",
-                   help="also reconstruct boundary holonomy matrices")
-    p.set_defaults(func=cmd_oracle)
-
-    p = sub.add_parser("flow", help="twist and/or bulge along an internal curve")
-    p.add_argument("input")
-    p.add_argument("--curve", required=True)
-    p.add_argument("--twist", type=float, default=0.0)
-    p.add_argument("--bulge", type=float, default=0.0)
-    p.add_argument("output")
-    p.set_defaults(func=cmd_flow)
-
-    p = sub.add_parser("render", help="draw the normalized flag configuration as SVG")
-    p.add_argument("input")
-    p.add_argument("--pants", required=True)
-    p.add_argument("output")
-    p.set_defaults(func=cmd_render)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for argument, keywords in command.arguments:
+            p.add_argument(argument, **keywords)
+        p.set_defaults(func=command.handler)
     return parser
+
+
+def match(argv: list) -> argparse.Namespace | None:
+    """What `build_parser().parse_args(argv)` returns, for a command line that
+    argparse reads in one way only; None for any other, which is left to argparse.
+
+    Matched: every token a str, the first a command name, every token that
+    starts with "-" one of that command's option strings spelt out in full, each
+    valued option followed by a token that does not start with "-" and passes
+    the option's choices and type, exactly the command's positionals, and every
+    required option present.  Not matched: -h, abbreviations, --opt=value,
+    negative numbers, "--", and every command line argparse refuses, so that
+    its messages and exit codes are argparse's own.
+    """
+    if not argv or any(type(token) is not str for token in argv) or argv[0] not in COMMANDS:
+        return None
+    command = COMMANDS[argv[0]]
+    values = {"command": argv[0], "func": command.handler}
+    options, positionals, required = {}, [], set()
+    for argument, keywords in command.arguments:
+        if argument[0] != "-":
+            positionals.append(argument)
+            continue
+        options[argument] = keywords
+        flag = keywords.get("action") == "store_true"
+        values[argument[2:]] = keywords.get("default", False if flag else None)
+        if keywords.get("required"):
+            required.add(argument)
+    given = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token[:1] != "-":
+            given.append(token)
+            continue
+        keywords = options.get(token)
+        if keywords is None:
+            return None
+        required.discard(token)
+        if keywords.get("action") == "store_true":
+            values[token[2:]] = True
+            continue
+        value = next(tokens, "-")
+        if value[:1] == "-":
+            return None
+        if "type" in keywords:
+            try:
+                value = keywords["type"](value)
+            except ValueError:
+                return None
+        if value not in keywords.get("choices", (value,)):
+            return None
+        values[token[2:]] = value
+    if required or len(given) != len(positionals):
+        return None
+    values.update(zip(positionals, given))
+    return argparse.Namespace(**values)
 
 
 def main(argv=None) -> int:
@@ -239,7 +310,10 @@ def main(argv=None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        args = build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else list(argv)
+        args = match(argv)
+        if args is None:
+            args = build_parser().parse_args(argv)
         return args.func(args)
     except (CoordinateError, OSError) as err:
         if os.environ.get("CONVEXPROJ_VERBOSE"):

@@ -284,12 +284,21 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
-def _decode(text: str, object_pairs_hook) -> CoordinateFile:
-    def reject_constant(token):
-        raise SchemaError(f"non-finite number {token!r} is not allowed")
+def _reject_constant(token):
+    raise SchemaError(f"non-finite number {token!r} is not allowed")
 
+
+# Built once: json.loads with hooks builds a new decoder and scanner per call.
+_PLAIN = json.JSONDecoder(parse_constant=_reject_constant)
+_CHECKED = json.JSONDecoder(parse_constant=_reject_constant, object_pairs_hook=_unique_keys)
+
+
+def _decode(text: str, decoder: json.JSONDecoder) -> CoordinateFile:
     try:
-        raw = json.loads(text, parse_constant=reject_constant, object_pairs_hook=object_pairs_hook)
+        if text.startswith("\ufeff"):
+            # json.loads's own refusal; decoder.decode would report "Expecting value"
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        raw = decoder.decode(text)
     except (ValueError, RecursionError) as err:
         # JSONDecodeError, an integer literal beyond Python's digit limit, or too deep nesting
         raise SchemaError(f"invalid JSON: {err}") from err
@@ -317,12 +326,12 @@ def loads(text: str) -> CoordinateFile:
     # members repeats no name.  Any other text decodes again with the hook, which
     # reports the first fault in document order.
     try:
-        cf = _decode(text, None)
+        cf = _decode(text, _PLAIN)
         if text.count(":") == _members(cf):
             return cf
     except CoordinateError:
         pass
-    return _decode(text, _unique_keys)
+    return _decode(text, _CHECKED)
 
 
 def load_file(path) -> CoordinateFile:

@@ -272,11 +272,13 @@ def quadratic_value(g: GoldmanPants, i: int) -> float:
 def log_quadratic_value(g: GoldmanPants, i: int) -> float:
     """log of `quadratic_value(g, i)`, its three positive terms summed in log s
     and log lambda, so that it holds where s*s overflows a float."""
-    boundary = g.boundary
-    log_prev, log_self, log_next = (math.log(boundary[(i - 1) % 3].lam), math.log(boundary[i].lam),
-                                    math.log(boundary[(i + 1) % 3].lam))
-    log_s = math.log(g.s)
-    middle = math.log(boundary[i].tau) + 0.5 * (log_self + log_prev - log_next) + log_s
+    return _log_quadratic(g, [math.log(b.lam) for b in g.boundary], math.log(g.s), i)
+
+
+def _log_quadratic(g: GoldmanPants, log_lam: list[float], log_s: float, i: int) -> float:
+    """`log_quadratic_value(g, i)` from the pants' log lambda_j and log s."""
+    log_prev, log_self, log_next = log_lam[(i - 1) % 3], log_lam[i], log_lam[(i + 1) % 3]
+    middle = math.log(g.boundary[i].tau) + 0.5 * (log_self + log_prev - log_next) + log_s
     square = log_prev - log_next + 2.0 * log_s
     top = max(0.0, middle, square)
     return top + math.log(math.exp(-top) + math.exp(middle - top) + math.exp(square - top))
@@ -300,5 +302,6 @@ def internal_consistency(g: GoldmanPants) -> ConsistencyReport:
     and ``residuals`` the differences from `log_quadratic_value`, each a
     relative residual, which stays finite wherever g's own floats do."""
     logs = log_crossratios(goldman_to_fg(g))
-    residuals = tuple(abs(logs[i] - log_quadratic_value(g, i)) for i in range(3))
+    log_lam, log_s = [math.log(b.lam) for b in g.boundary], math.log(g.s)
+    residuals = tuple(abs(logs[i] - _log_quadratic(g, log_lam, log_s, i)) for i in range(3))
     return _new(ConsistencyReport, (logs, residuals, max(residuals)))

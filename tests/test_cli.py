@@ -1,10 +1,12 @@
 import contextlib
 import copy
 import gc
+import importlib.util
 import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -208,6 +210,12 @@ class TestRejectedInput:
         bad.write_bytes(b"\xff\xfe" + (SAMPLES / "pants_bd.json").read_bytes())
         result = run_cli("validate", bad)
         expect_one_error(result, 2, f"cannot read {bad}: 'utf-8' codec can't decode")
+
+    def test_byte_order_mark(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xef\xbb\xbf" + (SAMPLES / "pants_bd.json").read_bytes())
+        assert run_main("validate", bad) == (2, "error: invalid JSON: Unexpected UTF-8 BOM "
+                                                "(decode using utf-8-sig): line 1 column 1 (char 0)\n")
 
     def test_deeply_nested(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -877,6 +885,120 @@ class TestParser:
         assert (tmp_path / "together.json").read_bytes() == (tmp_path / "alone.json").read_bytes()
 
 
+# The alphabet of drawn command lines: command names, option strings, help,
+# "--", other spellings, values, and a negative number.
+TOKENS = st.sampled_from([
+    "convert", "validate", "oracle", "flow", "render",
+    "--to", "--monodromy", "--curve", "--twist", "--bulge", "--pants",
+    "-h", "--", "--to=bd", "--mono", "-0.5", "nan", "abc", "", "0.25", "bd", "goldman", "P0",
+    "in.json", "out/x.svg",
+])
+VALUES = st.sampled_from(["bd", "goldman", "nan", "abc", "", "0.25", "-0.5", "1e400", "P0",
+                          "in.json"])
+# Each command's positional count, and its options, each with its values (None
+# for a flag).
+SYNOPSES = {
+    "convert": (2, {"--to": st.sampled_from(["bd", "goldman", "cube", "", "-0.5"])}),
+    "validate": (1, {}),
+    "oracle": (1, {"--monodromy": None}),
+    "flow": (2, {"--curve": VALUES, "--twist": VALUES, "--bulge": VALUES}),
+    "render": (2, {"--pants": VALUES}),
+}
+NAN = object()
+
+
+@st.composite
+def command_lines(draw):
+    """Any list of TOKENS, or a command's positionals and options (each 0-2
+    times, with a drawn value) in any order, then perhaps one token of TOKENS
+    put in or swapped in, or the last token dropped."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.lists(TOKENS, max_size=8))
+    name = draw(st.sampled_from(sorted(SYNOPSES)))
+    count, options = SYNOPSES[name]
+    groups = [[draw(VALUES)] for _ in range(count)]
+    for option, values in options.items():
+        groups += [[option] if values is None else [option, draw(values)]
+                   for _ in range(draw(st.integers(0, 2)))]
+    argv = [name] + [token for group in draw(st.permutations(groups)) for token in group]
+    edit = draw(st.integers(0, 3))
+    if edit == 1:
+        argv.insert(draw(st.integers(0, len(argv))), draw(TOKENS))
+    elif edit == 2:
+        argv[draw(st.integers(0, len(argv) - 1))] = draw(TOKENS)
+    elif edit == 3:
+        argv.pop()
+    return argv
+
+
+def namespace_values(args):
+    """vars(args), with a nan value read as one value."""
+    return {key: NAN if isinstance(value, float) and value != value else value
+            for key, value in vars(args).items()}
+
+
+def load_tool(name):
+    """A script under tools/, loaded as a module."""
+    spec = importlib.util.spec_from_file_location(name, REPO / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def readme_command_lines():
+    """The argvs of the README's example session."""
+    session = re.search(r"Example session:\n\n```sh\n(.*?)```", (REPO / "README.md").read_text(),
+                        flags=re.DOTALL)
+    return [shlex.split(line)[1:] for line in session.group(1).splitlines()]
+
+
+class TestMatcher:
+    """cli.match reads well-formed command lines as argparse does, and leaves
+    every other one to argparse."""
+
+    @given(command_lines())
+    @settings(max_examples=1000, derandomize=True, database=None, deadline=None)
+    def test_matches_argparse_or_declines(self, argv):
+        args = cli.match(argv)
+        if args is not None:
+            assert namespace_values(args) == namespace_values(cli.build_parser().parse_args(argv))
+
+    def test_readme_and_compare_outputs_command_lines(self):
+        tool = load_tool("compare_outputs")
+        jobs = tool.commands([("g2_s1.bd", "in.json"), ("sample.pants_bd", "pants.json")], 2)
+        # argparse reads the argv jobs but two, and the bulge by -0.5, a negative number
+        # (a bulge and its overwrite on each of the two inputs)
+        left = {job for job, argv in jobs if "-0.5" in argv or (
+                job.startswith("argv.") and job not in ("argv.options_first", "argv.repeated"))}
+        assert len(left) == len(tool.ARGV_JOBS) - 2 + 2 * 2
+        for job, argv in jobs + [("readme", argv) for argv in readme_command_lines()]:
+            args = cli.match(argv)
+            assert (args is None) == (job in left), job
+            if args is not None:
+                assert vars(args) == vars(cli.build_parser().parse_args(argv))
+
+    def test_well_formed_command_lines_never_build_the_parser(self, tmp_path, monkeypatch):
+        class Built(Exception):
+            pass
+
+        def build_parser():
+            raise Built
+
+        monkeypatch.setattr(cli, "build_parser", build_parser)
+        monkeypatch.delenv("CONVEXPROJ_VERBOSE", raising=False)
+        bd, out = SAMPLES / "pants_bd.json", tmp_path / "out"
+        for argv in [("validate", bd), ("oracle", bd, "--monodromy"),
+                     ("convert", "--to", "goldman", bd, out),
+                     ("flow", SAMPLES / "torus_goldman.json", "--curve", "c1", "--twist", "0.5",
+                      "--bulge", "nan", "--bulge", "0.1", out),
+                     ("render", bd, out, "--pants", "P0")]:
+            assert run_main(*argv) == (0, "")
+        for argv in [("oracle", bd, "--mono"), ("validate", "-h"), ("flow", bd, "--curve", "c1",
+                                                                        "--twist", "-1", out)]:
+            with pytest.raises(Built):
+                run_main(*argv)
+
+
 @pytest.fixture(scope="module")
 def genus50(tmp_path_factory):
     """A goldman and a bd file of one closed genus-50 ring chain (98 pants)."""
@@ -945,7 +1067,7 @@ class TestCollectorPause:
             "oracle_monodromy": ("oracle", bd, "--monodromy"),
             "render": ("render", bd, "--pants", "P0", tmp_path / "out.svg"),
         }[command]
-        # the first parse_args of a process leaves argparse's formatter objects once
+        # the first run of a process may leave objects it caches once
         assert run_main(*argv)[0] == 0
         gc.collect()
         assert run_main(*argv)[0] == 0

@@ -1,5 +1,6 @@
 """The repository's tooling scripts run as documented."""
 
+import importlib.util
 import shutil
 import subprocess
 import sys
@@ -88,3 +89,19 @@ def test_compare_outputs_reaches_the_window_edge(tmp_path):
     assert "g2_s1.edge_upper.convert_bd: stderr line" in "\n".join(lines)
     assert all(line.startswith(("g2_s1.reject_window.", "g2_s1.edge_upper.")) for line in lines[:-1])
     assert not lines[-1].endswith(": 0 with a difference")
+
+
+def test_line_differences_shows_each_line_up_to_the_cap():
+    # a FAIL -> PASS flip far down a validate output is shown, not only the first change
+    spec = importlib.util.spec_from_file_location("compare_outputs", COMPARE)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    parent = [f"PASS pants P{i}: max residual 0.000e+00" for i in range(14)] + ["all checks passed"]
+    change = [line.replace("0.000e+00", "2.842e-14") for line in parent[:12]] + parent[12:14]
+    change[7] = "FAIL pants P7: max residual 3.000e-09"
+    shown = tool.line_differences("\n".join(parent), "\n".join(change))
+    assert len(shown) == tool.MAX_LINES + 2
+    assert shown[7] == ("line 8: 'PASS pants P7: max residual 0.000e+00' != "
+                        "'FAIL pants P7: max residual 3.000e-09'")
+    assert shown[-2:] == ["and 2 more lines differ", "15 lines != 14 lines"]
+    assert tool.line_differences("same\n", "same") == ["1 lines != 1 lines"]

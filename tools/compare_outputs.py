@@ -20,9 +20,12 @@ writes is then validated (its id ends in `.convert_bd.validate` or
 what `convert` wrote shows as a difference.  Every command that writes a
 file runs a second time (its id ends in `.overwrite`) onto a path that already
 holds a longer stale file, so a stale tail left behind, or a failed command
-that touched the file, shows as a difference.  It prints every difference in
-exit code, stdout, stderr or output file, then one summary line, and exits 1
-when anything differs.  Nothing under `perfbench/` is changed.
+that touched the file, shows as a difference.  Last come the command lines of
+ARGV_JOBS on `samples/pants_bd.json` (ids `argv.<kind>`): refusals, other
+spellings that argparse accepts, and help.  It prints every difference in exit
+code, stdout, stderr or output file, with up to MAX_LINES differing lines per
+stream and a count of the rest, then one summary line, and exits 1 when
+anything differs.  Nothing under `perfbench/` is changed.
 """
 
 from __future__ import annotations
@@ -134,9 +137,33 @@ def generate(work: str, genera: list[int], seeds: list[int]) -> list[tuple[str, 
     return inputs
 
 
+# Command lines on one sample, each run once with the id "argv.<kind>": refusals,
+# other spellings argparse accepts, and help, which reach argparse, and two
+# well-formed spellings (options first, a repeated option) that reach the CLI's
+# matcher.
+ARGV_INPUT = os.path.join(SAMPLES, "pants_bd.json")
+ARGV_JOBS = {
+    "bad_choice": ["convert", ARGV_INPUT, "--to", "cube", "{out}"],
+    "missing_option": ["convert", ARGV_INPUT, "{out}"],
+    "missing_input": ["validate"],
+    "extra_positional": ["validate", ARGV_INPUT, ARGV_INPUT],
+    "bad_float": ["flow", ARGV_INPUT, "--curve", "c1", "--twist", "abc", "{out}"],
+    "unknown_command": ["transmogrify", ARGV_INPUT],
+    "empty": [],
+    "abbreviated": ["oracle", ARGV_INPUT, "--mono"],
+    "equals": ["convert", ARGV_INPUT, "--to=bd", "{out}"],
+    "options_first": ["render", "--pants", "P0", ARGV_INPUT, "{out}"],
+    "repeated": ["convert", ARGV_INPUT, "--to", "bd", "--to", "goldman", "{out}"],
+    "help": ["-h"],
+    "command_help": ["convert", "-h"],
+}
+# Differing lines shown per stream before the rest are only counted.
+MAX_LINES = 10
+
+
 def commands(inputs: list[tuple[str, str]], oracle_max_genus: int) -> list[tuple[str, list[str]]]:
-    """(id, argv) of every command; "{out}" in an argv is the command's output
-    file, and "{dir}" the directory that holds every output file."""
+    """(id, argv) of every command, ending with ARGV_JOBS; "{out}" in an argv is
+    the command's output file, and "{dir}" the directory that holds every output file."""
     jobs = []
     for name, path in inputs:
         genus = int(name[1:name.index("_")]) if name.startswith("g") else 0
@@ -161,7 +188,7 @@ def commands(inputs: list[tuple[str, str]], oracle_max_genus: int) -> list[tuple
                 # a file that convert writes must read back
                 jobs.append((f"{name}.{command}.validate",
                              ["validate", os.path.join("{dir}", f"{name}.{command}")]))
-    return jobs
+    return jobs + [(f"argv.{kind}", argv) for kind, argv in ARGV_JOBS.items()]
 
 
 def prefill(path: str, first: str):
@@ -220,12 +247,17 @@ def call_worker(role: str, src: str, work: str, request) -> object:
         return json.load(handle)
 
 
-def first_difference(a, b) -> str:
+def line_differences(a: str, b: str) -> list[str]:
+    """Each line that differs between two different texts, up to MAX_LINES of
+    them, then how many more differ, and the line counts where they differ."""
     lines_a, lines_b = a.splitlines(), b.splitlines()
-    for i, (x, y) in enumerate(zip(lines_a, lines_b)):
-        if x != y:
-            return f"line {i + 1}: {x[:120]!r} != {y[:120]!r}"
-    return f"{len(lines_a)} lines != {len(lines_b)} lines"
+    found = [f"line {i + 1}: {x[:120]!r} != {y[:120]!r}"
+             for i, (x, y) in enumerate(zip(lines_a, lines_b)) if x != y]
+    if len(found) > MAX_LINES:
+        found[MAX_LINES:] = [f"and {len(found) - MAX_LINES} more lines differ"]
+    if len(lines_a) != len(lines_b) or not found:
+        found.append(f"{len(lines_a)} lines != {len(lines_b)} lines")
+    return found
 
 
 def read(path: str):
@@ -277,7 +309,7 @@ def main(argv=None) -> int:
                 found.append(f"exit {parent[0]!r} != {change[0]!r}")
             for k, stream in ((1, "stdout"), (2, "stderr")):
                 if parent[k] != change[k]:
-                    found.append(f"{stream} {first_difference(parent[k], change[k])}")
+                    found += [f"{stream} {line}" for line in line_differences(parent[k], change[k])]
             files = [read(os.path.join(work, f"out.{side}", job)) for side in sides]
             if files[0] != files[1]:
                 sizes = ["absent" if f is None else f"{len(f)} bytes" for f in files]
