@@ -52,9 +52,8 @@ result = reconstruct_monodromy(config, eigen)
 for i, m in enumerate(result.matrices):
     spectrum = np.sort(np.linalg.eigvals(m).real)
     print(f"M{i + 1}: det = {np.linalg.det(m):.12f}  spectrum = {spectrum}")
-    branches = result.branches[i]
-    print(f"    real branches: {len(branches)}, flag residuals "
-          f"{[f'{br.flag_residual:.1e}' for br in branches]}")
+    (holonomy,) = result.branches[i]
+    print(f"    flag residual: {holonomy.flag_residual:.1e}")
 m1 = result.matrices[0]
 print()
 print("M1 fixes [1,0,0] with the smallest eigenvalue:")

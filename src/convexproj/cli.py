@@ -23,6 +23,7 @@ import argparse
 import functools
 import gc
 import os
+import re
 import sys
 import traceback
 from typing import Callable, NamedTuple
@@ -48,6 +49,9 @@ from .surface import (
 )
 
 ORACLE_GATE = 1e-9
+# What argparse 3.10-3.12 reads as a negative number (3.13 reads more); as no option
+# string of ours looks like one, argparse takes such a token as an option's value.
+NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")
 
 
 def cmd_convert(args) -> int:
@@ -152,14 +156,12 @@ def cmd_oracle(args) -> int:
             if args.monodromy:
                 eigen = report.eigen
                 result = reconstruct_monodromy(report.config, eigen)
-                for i, branches in enumerate(result.branches):
-                    flag_residual = branches[0].flag_residual
-                    worst = max(worst, flag_residual)
+                for i, (holonomy,) in enumerate(result.branches):
+                    worst = max(worst, holonomy.flag_residual)
                     print(
                         f"pants {key} holonomy {i + 1}: spectrum "
                         f"({eigen[i].lam:.9g}, {eigen[i].mu:.9g}, {eigen[i].nu:.9g})  "
-                        f"flag residual {flag_residual:.3e}  "
-                        f"branches {len(branches)}"
+                        f"flag residual {holonomy.flag_residual:.3e}"
                     )
     print(f"worst residual {worst:.3e}")
     return 0 if worst <= ORACLE_GATE else 1
@@ -255,11 +257,11 @@ def match(argv: list) -> argparse.Namespace | None:
 
     Matched: every token a str, the first a command name, every token that
     starts with "-" one of that command's option strings spelt out in full, each
-    valued option followed by a token that does not start with "-" and passes
-    the option's choices and type, exactly the command's positionals, and every
-    required option present.  Not matched: -h, abbreviations, --opt=value,
-    negative numbers, "--", and every command line argparse refuses, so that
-    its messages and exit codes are argparse's own.
+    valued option followed by a token that passes its choices and type and starts
+    with "-" only as a NEGATIVE_NUMBER, exactly the command's positionals, and
+    every required option present.  Not matched: -h, abbreviations, --opt=value,
+    other values that start with "-", "--", and every command line argparse
+    refuses, so that its messages and exit codes are argparse's own.
     """
     if not argv or any(type(token) is not str for token in argv) or argv[0] not in COMMANDS:
         return None
@@ -289,7 +291,7 @@ def match(argv: list) -> argparse.Namespace | None:
             values[token[2:]] = True
             continue
         value = next(tokens, "-")
-        if value[:1] == "-":
+        if value[:1] == "-" and not NEGATIVE_NUMBER.fullmatch(value):
             return None
         if "type" in keywords:
             try:

@@ -367,10 +367,8 @@ def oracle_check(f: FGPants) -> OracleReport:
 
 
 class MonodromyBranch(NamedTuple):
-    """One real solution of the scaling equations, with its flag residual.
-
-    The matrix is kept as three float rows; `matrix` returns a new ndarray.
-    """
+    """One boundary holonomy, from the positive scaling root, as three float
+    rows (`matrix` returns a new ndarray), and its flag residual."""
 
     rows: tuple[tuple[float, float, float], ...]
     flag_residual: float
@@ -381,14 +379,13 @@ class MonodromyBranch(NamedTuple):
 
 
 class MonodromyResult(NamedTuple):
-    """Both real scaling branches of each holonomy, ordered by flag residual;
-    the primary matrix of each holonomy is its first branch's."""
+    """Each holonomy as a one-entry tuple: its branch that keeps the cone."""
 
-    branches: tuple[tuple[MonodromyBranch, ...], ...]
+    branches: tuple[tuple[MonodromyBranch], ...]
 
     @property
     def matrices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return tuple(branches[0].matrix for branches in self.branches)
+        return tuple(branch.matrix for (branch,) in self.branches)
 
 
 def reconstruct_monodromy(c: PantsFlagConfig, eigen) -> MonodromyResult:
@@ -400,16 +397,19 @@ def reconstruct_monodromy(c: PantsFlagConfig, eigen) -> MonodromyResult:
     goes out to outer vertex i+2 and outer vertex i+1 comes in to inner
     vertex i+1.  Those image points are only projective, so two scalings
     remain free; they are pinned down by det = 1 together with
-    trace = lam + mu + nu, which reduces to one quadratic.  Its two real
-    roots are the branches, each with the spectrum (lam, mu, nu) by construction.
-    The unstable-flag condition selects the holonomy among them: the lam-
-    and mu-eigenvectors span the flag plane of vertex i.  The flag line l
-    annihilates the lam-eigenvector p_i, so this holds exactly when
-    l M = nu l, and the flag residual is |l M - nu l| / (nu |l|).
+    trace = lam + mu + nu, which leaves one quadratic with roots of opposite
+    sign.  The holonomy, with positive eigenvalues, preserves a properly
+    convex domain (Goldman 1990) and so the cone over it that holds e1, e2,
+    e3, (-1, b1, c1), (a2, -1, c2) and (a3, b3, -1) (-M would preserve that
+    cone with only negative eigenvalues, which Perron-Frobenius excludes):
+    M maps p_{i+2} to a positive multiple of o_{i+2}, the positive root.  The
+    flag residual |l M - nu l| / (nu |l|) is zero exactly when the lam- and
+    mu-eigenvectors span the flag plane of vertex i, whose line l annihilates
+    the lam-eigenvector p_i.
 
     Takes the triples ``eigen_from_boundary`` returns, the only ones the CLI
-    passes, so 0 < lam < mu < nu.  Returns both branches per holonomy, smallest
-    flag residual first; DegenerateConfiguration if the quadratic overflows.
+    passes, so 0 < lam < mu < nu.  Returns one branch per holonomy;
+    DegenerateConfiguration if the quadratic overflows.
     """
     eigen = tuple(eigen)
     if len(eigen) != 3:
@@ -417,7 +417,7 @@ def reconstruct_monodromy(c: PantsFlagConfig, eigen) -> MonodromyResult:
     flags = c.inner_flags
     points = [f._point for f in flags]
     outer = [p._triple for p in c.outer_points]
-    all_branches = []
+    holonomies = []
     for i in range(3):
         lam, nu = eigen[i].lam, eigen[i].nu
         trace = lam + eigen[i].mu + nu
@@ -438,8 +438,8 @@ def reconstruct_monodromy(c: PantsFlagConfig, eigen) -> MonodromyResult:
         # beta y(x)s + gamma z(x)t has det lam*beta*gamma = 1; putting gamma into the
         # trace gives qa beta^2 + qb beta + qc = 0 with qa = y.s = rho_{i+1} - 1 > 0
         # (PantsFlagConfig's bounds keep each crossratio above 1 in floats),
-        # qb = -(mu + nu) < 0 and qc = -1/lam < 0: two real roots of opposite sign,
-        # and q has no cancellation.  Only an overflow of the quadratic can fail.
+        # qb = -(mu + nu) < 0 and qc = -1/lam < 0: roots of opposite sign, and the
+        # positive one q/qa has no cancellation.  Only an overflow can fail.
         product = 1.0 / lam
         qa = y0 * s0 + y1 * s1 + y2 * s2
         qb = lam * (x0 * r0 + x1 * r1 + x2 * r2) - trace
@@ -447,28 +447,25 @@ def reconstruct_monodromy(c: PantsFlagConfig, eigen) -> MonodromyResult:
         q = -0.5 * (qb - math.sqrt(qb * qb - 4.0 * qa * qc))
         if not q < math.inf:
             raise DegenerateConfiguration(f"holonomy {i + 1}: scaling quadratic overflows a float")
+        beta = q / qa
+        gamma = product / beta
         u0, u1, u2 = lam * x0, lam * x1, lam * x2
-        branches = []
-        for beta in (q / qa, qc / q):
-            gamma = product / beta
-            v0, v1, v2 = beta * y0, beta * y1, beta * y2
-            w0, w1, w2 = gamma * z0, gamma * z1, gamma * z2
-            m00 = u0 * r0 + v0 * s0 + w0 * t0
-            m01 = u0 * r1 + v0 * s1 + w0 * t1
-            m02 = u0 * r2 + v0 * s2 + w0 * t2
-            m10 = u1 * r0 + v1 * s0 + w1 * t0
-            m11 = u1 * r1 + v1 * s1 + w1 * t1
-            m12 = u1 * r2 + v1 * s2 + w1 * t2
-            m20 = u2 * r0 + v2 * s0 + w2 * t0
-            m21 = u2 * r1 + v2 * s1 + w2 * t1
-            m22 = u2 * r2 + v2 * s2 + w2 * t2
-            drift = math.hypot(
-                l0 * m00 + l1 * m10 + l2 * m20 - nu * l0,
-                l0 * m01 + l1 * m11 + l2 * m21 - nu * l1,
-                l0 * m02 + l1 * m12 + l2 * m22 - nu * l2,
-            )
-            rows = ((m00, m01, m02), (m10, m11, m12), (m20, m21, m22))
-            branches.append(_new(MonodromyBranch, (rows, drift / norm)))
-        branches.sort(key=lambda br: br.flag_residual)
-        all_branches.append(tuple(branches))
-    return MonodromyResult(tuple(all_branches))
+        v0, v1, v2 = beta * y0, beta * y1, beta * y2
+        w0, w1, w2 = gamma * z0, gamma * z1, gamma * z2
+        m00 = u0 * r0 + v0 * s0 + w0 * t0
+        m01 = u0 * r1 + v0 * s1 + w0 * t1
+        m02 = u0 * r2 + v0 * s2 + w0 * t2
+        m10 = u1 * r0 + v1 * s0 + w1 * t0
+        m11 = u1 * r1 + v1 * s1 + w1 * t1
+        m12 = u1 * r2 + v1 * s2 + w1 * t2
+        m20 = u2 * r0 + v2 * s0 + w2 * t0
+        m21 = u2 * r1 + v2 * s1 + w2 * t1
+        m22 = u2 * r2 + v2 * s2 + w2 * t2
+        drift = math.hypot(
+            l0 * m00 + l1 * m10 + l2 * m20 - nu * l0,
+            l0 * m01 + l1 * m11 + l2 * m21 - nu * l1,
+            l0 * m02 + l1 * m12 + l2 * m22 - nu * l2,
+        )
+        rows = ((m00, m01, m02), (m10, m11, m12), (m20, m21, m22))
+        holonomies.append((_new(MonodromyBranch, (rows, drift / norm)),))
+    return MonodromyResult(tuple(holonomies))

@@ -541,7 +541,7 @@ class TestOracle:
         assert err == "error: pants 'P0': holonomy 1: scaling quadratic overflows a float\n"
 
     def test_monodromy_gates_flag_residuals(self, tmp_path, capsys):
-        # the oracle certifies this pants, but holonomy 3's flag residual is 1.581
+        # the oracle certifies this pants, but holonomy 3's flag residual is 4.398e+30
         data = json.loads((SAMPLES / "pants_bd.json").read_text())
         data["values"]["pants"]["P0"] = {"sigma1": [107.0, 4.0, 101.0],
                                          "sigma2": [-340.0, -265.0, -211.0],
@@ -552,8 +552,8 @@ class TestOracle:
         capsys.readouterr()
         assert cli.main(["oracle", str(path), "--monodromy"]) == 1
         out = capsys.readouterr().out.splitlines()
-        assert "flag residual 1.581e+00" in out[3]
-        assert out[-1] == "worst residual 1.581e+00"
+        assert "flag residual 4.398e+30" in out[3]
+        assert out[-1] == "worst residual 4.398e+30"
 
     def test_goldman_file_rejected(self):
         result = run_cli("oracle", SAMPLES / "pants_goldman.json")
@@ -893,8 +893,8 @@ TOKENS = st.sampled_from([
     "-h", "--", "--to=bd", "--mono", "-0.5", "nan", "abc", "", "0.25", "bd", "goldman", "P0",
     "in.json", "out/x.svg",
 ])
-VALUES = st.sampled_from(["bd", "goldman", "nan", "abc", "", "0.25", "-0.5", "1e400", "P0",
-                          "in.json"])
+VALUES = st.sampled_from(["bd", "goldman", "nan", "abc", "", "0.25", "-0.5", "-.5", "-5",
+                          "-1e-3", "-0.5x", "1e400", "P0", "in.json"])
 # Each command's positional count, and its options, each with its values (None
 # for a flag).
 SYNOPSES = {
@@ -966,11 +966,11 @@ class TestMatcher:
     def test_readme_and_compare_outputs_command_lines(self):
         tool = load_tool("compare_outputs")
         jobs = tool.commands([("g2_s1.bd", "in.json"), ("sample.pants_bd", "pants.json")], 2)
-        # argparse reads the argv jobs but two, and the bulge by -0.5, a negative number
-        # (a bulge and its overwrite on each of the two inputs)
-        left = {job for job, argv in jobs if "-0.5" in argv or (
-                job.startswith("argv.") and job not in ("argv.options_first", "argv.repeated"))}
-        assert len(left) == len(tool.ARGV_JOBS) - 2 + 2 * 2
+        # argparse reads the argv jobs but four; the bulge by -0.5 is matched
+        matched = ("argv.options_first", "argv.repeated", "argv.negative_twist",
+                   "argv.negative_curve")
+        left = {job for job, argv in jobs if job.startswith("argv.") and job not in matched}
+        assert len(left) == len(tool.ARGV_JOBS) - 4
         for job, argv in jobs + [("readme", argv) for argv in readme_command_lines()]:
             args = cli.match(argv)
             assert (args is None) == (job in left), job
@@ -991,10 +991,11 @@ class TestMatcher:
                      ("convert", "--to", "goldman", bd, out),
                      ("flow", SAMPLES / "torus_goldman.json", "--curve", "c1", "--twist", "0.5",
                       "--bulge", "nan", "--bulge", "0.1", out),
+                     ("flow", SAMPLES / "torus_goldman.json", "--curve", "c1", "--twist", "-1", out),
                      ("render", bd, out, "--pants", "P0")]:
             assert run_main(*argv) == (0, "")
-        for argv in [("oracle", bd, "--mono"), ("validate", "-h"), ("flow", bd, "--curve", "c1",
-                                                                        "--twist", "-1", out)]:
+        for argv in [("oracle", bd, "--mono"), ("validate", "-h"),
+                     ("flow", bd, "--curve", "c1", "--twist", "-1e-3", out)]:
             with pytest.raises(Built):
                 run_main(*argv)
 

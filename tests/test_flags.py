@@ -490,15 +490,6 @@ class TestMonodromy:
             image = m @ outer[(i + 1) % 3]
             assert ProjPoint(image) == ProjPoint(points[(i + 1) % 3])
 
-    def test_both_real_branches_share_spectrum(self):
-        _, _, result = symmetric_monodromy()
-        for branches in result.branches:
-            assert len(branches) == 2
-            assert branches[0].flag_residual <= 1e-10
-            assert branches[1].flag_residual > 1e-3
-            spectrum = np.sort(np.linalg.eigvals(branches[1].matrix).real)
-            assert spectrum == pytest.approx((E**-2, 1.0, E**2), rel=1e-8)
-
     @pytest.mark.parametrize("sigma1, sigma2", ILL_CONDITIONED)
     def test_ill_conditioned_holonomies(self, sigma1, sigma2):
         report = oracle_check(FGPants(sigma1, sigma2, 0.0, 0.0))
@@ -538,27 +529,38 @@ def holonomy_frames(c, i):
             (points[i], outer[(i + 2) % 3], points[(i + 1) % 3]))
 
 
+def built_configurations(source):
+    """The configurations and spectra of the sampler (numpy seed 23, 500 tuples)
+    or of the README sweep ("readme_sweep_R", 200 tuples) that build in floats."""
+    if source == "sampler":
+        rng = np.random.default_rng(23)
+        tuples = [random_fg_pants(rng) for _ in range(500)]
+    else:
+        tuples = readme_sweep(float(source.rsplit("_", 1)[1]), 200)
+    built = []
+    for f in tuples:
+        try:
+            c = config_from_fg(f.sigma1, f.sigma2, f.tau_plus)
+            eigen = [eigen_from_boundary(b) for b in fg_to_goldman(f).boundary]
+        except (DegenerateConfiguration, WindowViolation):
+            continue
+        built.append((f, c, eigen))
+    assert len(built) >= len(tuples) // 2
+    return built
+
+
+SOURCES = ["sampler", "readme_sweep_10", "readme_sweep_15", "readme_sweep_20", "readme_sweep_40"]
+
+
 class TestHolonomyQuadratic:
     """The facts reconstruct_monodromy relies on without testing them: both
-    determinants are exactly 1, the quadratic's leading coefficient is a
-    crossratio less 1, and so every holonomy has two real branches."""
+    determinants are exactly 1 and the quadratic's leading coefficient is a
+    crossratio less 1, so its roots have opposite signs; and the one it keeps,
+    the positive root, is the holonomy that keeps the cone."""
 
-    @pytest.mark.parametrize("source", ["sampler", "readme_sweep_10", "readme_sweep_15",
-                                        "readme_sweep_20", "readme_sweep_40"])
+    @pytest.mark.parametrize("source", SOURCES)
     def test_every_configuration_has_two_real_branches(self, source):
-        if source == "sampler":
-            rng = np.random.default_rng(23)
-            tuples = [random_fg_pants(rng) for _ in range(500)]
-        else:
-            tuples = readme_sweep(float(source.rsplit("_", 1)[1]), 200)
-        built = 0
-        for f in tuples:
-            try:
-                c = config_from_fg(f.sigma1, f.sigma2, f.tau_plus)
-                eigen = [eigen_from_boundary(b) for b in fg_to_goldman(f).boundary]
-            except (DegenerateConfiguration, WindowViolation):
-                continue
-            built += 1
+        for f, c, eigen in built_configurations(source):
             rho = pants.crossratios(f)
             for i in range(3):
                 sources, images = holonomy_frames(c, i)
@@ -568,9 +570,29 @@ class TestHolonomyQuadratic:
                 assert lead > 0.0
                 assert abs(lead - (rho[i] - 1.0)) <= 1e-13 * rho[i]
                 assert rho[i] >= 1.0
+                # the constant coefficient is -1/lam: one root of each sign
+                assert flags._dot(images[2], flags._cross(sources[0], sources[1])) == -1.0
+            # one matrix per holonomy, from the positive root
             result = reconstruct_monodromy(c, eigen)
-            assert [len(branches) for branches in result.branches] == [2, 2, 2]
-        assert built >= len(tuples) // 2
+            assert [len(entry) for entry in result.branches] == [1, 1, 1]
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_holonomy_keeps_the_cone(self, source):
+        # M maps p_{i+2} = e_k to beta * o_{i+2}, whose k-th coordinate is -1, and
+        # o_{i+1} to gamma * p_{i+1}, with beta > 0 and so gamma = 1/(lam beta) > 0,
+        # as det M = lam beta gamma = 1.  Far out, M @ o_{i+1} rounds to within
+        # 1e-16 of the size of its terms, which can exceed gamma itself.
+        for _, c, eigen in built_configurations(source):
+            outer = [p.coords for p in c.outer_points]
+            for i, m in enumerate(reconstruct_monodromy(c, eigen).matrices):
+                k, j = (i + 2) % 3, (i + 1) % 3
+                beta = -m[k][k]
+                assert beta > 0.0
+                assert m[:, k] == pytest.approx(beta * outer[k], rel=1e-12)
+                image = np.zeros(3)
+                image[j] = 1.0 / (eigen[i].lam * beta)
+                scale = np.abs(m) @ np.abs(outer[j])
+                assert np.all(np.abs(m @ outer[j] - image) <= 1e-12 * scale)
 
 
 def quadratic_roots(a, b, c):
@@ -630,6 +652,13 @@ def listcomp_monodromy(c, eigen):
     return all_branches
 
 
+def positive_root(i, branches):
+    """The entry of holonomy i in listcomp_monodromy built from the positive
+    root: beta = -M[k][k] with k = (i + 2) % 3 (row-major index 4k)."""
+    (entry,) = [br for br in branches if -np.frombuffer(br[0])[4 * ((i + 2) % 3)] > 0.0]
+    return entry
+
+
 class TestWrittenOutHolonomy:
     @pytest.mark.parametrize("source", ["sampler", "readme_sweep_15", "ill_conditioned"])
     def test_bit_identical_to_the_listcomp_assembly(self, source):
@@ -643,9 +672,11 @@ class TestWrittenOutHolonomy:
         for f in tuples:
             report = oracle_check(f)
             result = reconstruct_monodromy(report.config, report.eigen)
-            written_out = [[(br.matrix.tobytes(), br.flag_residual) for br in branches]
-                           for branches in result.branches]
-            assert written_out == listcomp_monodromy(report.config, report.eigen)
+            written_out = [[(br.matrix.tobytes(), br.flag_residual) for br in entry]
+                           for entry in result.branches]
+            reference = listcomp_monodromy(report.config, report.eigen)
+            assert written_out == [[positive_root(i, branches)]
+                                   for i, branches in enumerate(reference)]
             assert [m.tobytes() for m in result.matrices] == [b[0][0] for b in written_out]
 
 

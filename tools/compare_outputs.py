@@ -22,10 +22,10 @@ file runs a second time (its id ends in `.overwrite`) onto a path that already
 holds a longer stale file, so a stale tail left behind, or a failed command
 that touched the file, shows as a difference.  Last come the command lines of
 ARGV_JOBS on `samples/pants_bd.json` (ids `argv.<kind>`): refusals, other
-spellings that argparse accepts, and help.  It prints every difference in exit
-code, stdout, stderr or output file, with up to MAX_LINES differing lines per
-stream and a count of the rest, then one summary line, and exits 1 when
-anything differs.  Nothing under `perfbench/` is changed.
+spellings that argparse accepts, help, and option values that start with "-".
+It prints every difference in exit code, stdout, stderr or output file, with up
+to MAX_LINES differing lines per stream and a count of the rest, then one
+summary line, and exits 1 when anything differs.  Nothing under `perfbench/` is changed.
 """
 
 from __future__ import annotations
@@ -156,6 +156,9 @@ ARGV_JOBS = {
     "repeated": ["convert", ARGV_INPUT, "--to", "bd", "--to", "goldman", "{out}"],
     "help": ["-h"],
     "command_help": ["convert", "-h"],
+    "negative_twist": ["flow", ARGV_INPUT, "--curve", "c1", "--twist", "-.5", "{out}"],
+    "exponent_twist": ["flow", ARGV_INPUT, "--curve", "c1", "--twist", "-1e-3", "{out}"],
+    "negative_curve": ["flow", ARGV_INPUT, "--curve", "-5", "--twist", "0.5", "{out}"],
 }
 # Differing lines shown per stream before the rest are only counted.
 MAX_LINES = 10
