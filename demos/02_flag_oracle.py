@@ -49,12 +49,13 @@ print("=== holonomy reconstruction ===")
 g = fg_to_goldman(f)
 eigen = [eigen_from_boundary(b) for b in g.boundary]
 result = reconstruct_monodromy(config, eigen)
-for i, m in enumerate(result.matrices):
+matrices = [np.array(holonomy.rows) for (holonomy,) in result.branches]
+for i, m in enumerate(matrices):
     spectrum = np.sort(np.linalg.eigvals(m).real)
     print(f"M{i + 1}: det = {np.linalg.det(m):.12f}  spectrum = {spectrum}")
     (holonomy,) = result.branches[i]
     print(f"    flag residual: {holonomy.flag_residual:.1e}")
-m1 = result.matrices[0]
+m1 = matrices[0]
 print()
 print("M1 fixes [1,0,0] with the smallest eigenvalue:")
 print(f"  M1 @ [1,0,0] = {m1 @ np.array([1.0, 0.0, 0.0])}   lambda_1 = {eigen[0].lam:.6f}")

@@ -49,8 +49,9 @@ from .surface import (
 )
 
 ORACLE_GATE = 1e-9
-# What argparse 3.10-3.12 reads as a negative number (3.13 reads more); as no option
-# string of ours looks like one, argparse takes such a token as an option's value.
+# What argparse 3.10 to 3.13.0 reads as a negative number (a later release may read
+# more, and such a value is left to argparse); as no option string of ours looks
+# like one, argparse takes such a token as an option's value.
 NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")
 
 

@@ -49,16 +49,19 @@ def _dot(u, v) -> float:
 
 
 def _floats(v) -> tuple[float, float, float]:
-    """A 3-vector as the float triple the kernel pairs.
+    """A 3-vector as the float triple the kernel pairs: any three reals.
 
-    A list or tuple of three floats is read directly; anything else goes
-    through numpy, which converts it and raises on a wrong shape.
+    A list or tuple of three floats is read directly; any other sequence is
+    read coordinate by coordinate with float().
     """
     if (type(v) is tuple or type(v) is list) and len(v) == 3:
         x, y, z = v
         if type(x) is type(y) is type(z) is float:
             return (x, y, z)
-    return tuple(np.asarray(v, dtype=float).reshape(3).tolist())
+    triple = tuple(map(float, v))
+    if len(triple) != 3:
+        raise ValueError(f"a 3-vector has three coordinates, got {len(triple)}")
+    return triple
 
 
 def wedge2(u, v) -> np.ndarray:
@@ -77,37 +80,30 @@ class ProjPoint:
 
     Two points are equal when their canonical representatives agree; the
     canonical representative rescales so the first coordinate of nonsmall
-    magnitude becomes +1.  The coordinates are kept as a float triple;
-    `coords` and `canonical()` return new ndarrays.
+    magnitude becomes +1.  `coords` is the float triple as given and
+    `canonical()` the rescaled one.
     """
 
-    _triple: tuple[float, float, float]
+    coords: tuple[float, float, float]
 
     def __init__(self, coords):
         triple = _floats(coords)
         if not all(map(math.isfinite, triple)) or not any(triple):
             raise ValueError(f"homogeneous coordinates must be finite and not all zero: {coords!r}")
-        object.__setattr__(self, "_triple", triple)
+        object.__setattr__(self, "coords", triple)
 
-    @property
-    def coords(self) -> np.ndarray:
-        return np.array(self._triple)
-
-    def _canonical(self) -> tuple[float, float, float]:
+    def canonical(self) -> tuple[float, float, float]:
         # the triple is finite and not all zero, so its largest coordinate clears the floor
-        scale_floor = DEGENERACY_TOL * max(map(abs, self._triple))
-        pivot = next(value for value in self._triple if abs(value) > scale_floor)
-        return tuple(c / pivot for c in self._triple)
-
-    def canonical(self) -> np.ndarray:
-        return np.array(self._canonical())
+        scale_floor = DEGENERACY_TOL * max(map(abs, self.coords))
+        pivot = next(value for value in self.coords if abs(value) > scale_floor)
+        return tuple(c / pivot for c in self.coords)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ProjPoint):
             return NotImplemented
         # np.allclose's rule per coordinate: |a - b| <= 1e-8 + 1e-8 * |b|
         return all(abs(a - b) <= 1e-8 + 1e-8 * abs(b)
-                   for a, b in zip(self._canonical(), other._canonical()))
+                   for a, b in zip(self.canonical(), other.canonical()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,32 +114,28 @@ class Flag:
     2-dimensional part; finite coordinates and incidence, relative to the
     two norms, are required at construction.  Both are stored as given, as
     float triples: every invariant below is unchanged when either is
-    rescaled.  `point` and `line` return new ndarrays.
+    rescaled.
     """
 
-    _point: tuple[float, float, float]
-    _line: tuple[float, float, float]
+    point: tuple[float, float, float]
+    line: tuple[float, float, float]
 
     def __init__(self, point, line):
         p = _floats(point)
         ell = _floats(line)
         if not all(map(math.isfinite, p + ell)):
             raise ValueError(f"flag coordinates must be finite: {point!r}, {line!r}")
-        p_norm, l_norm = math.hypot(*p), math.hypot(*ell)
-        if p_norm == 0.0 or l_norm == 0.0:
+        (p0, p1, p2), (l0, l1, l2) = p, ell
+        p_max, l_max = max(abs(p0), abs(p1), abs(p2)), max(abs(l0), abs(l1), abs(l2))
+        if p_max == 0.0 or l_max == 0.0:
             raise ValueError("zero vector has no direction")
-        if abs(_dot(ell, p)) > 1e-12 * l_norm * p_norm:
+        # scaled to a largest |coordinate| of 1, neither side can overflow or underflow
+        p_unit = (p0 / p_max, p1 / p_max, p2 / p_max)
+        l_unit = (l0 / l_max, l1 / l_max, l2 / l_max)
+        if abs(_dot(l_unit, p_unit)) > 1e-12 * math.hypot(*l_unit) * math.hypot(*p_unit):
             raise ValueError("flag line does not pass through the flag point")
-        object.__setattr__(self, "_point", p)
-        object.__setattr__(self, "_line", ell)
-
-    @property
-    def point(self) -> np.ndarray:
-        return np.array(self._point)
-
-    @property
-    def line(self) -> np.ndarray:
-        return np.array(self._line)
+        object.__setattr__(self, "point", p)
+        object.__setattr__(self, "line", ell)
 
 
 def _check_pairings(pairings, names) -> None:
@@ -176,8 +168,8 @@ def triple_ratio_log(f1: Flag, f2: Flag, f3: Flag) -> float:
     invariant under rescaling each flag and under volume-preserving linear
     changes of coordinates, and is cyclically invariant.
     """
-    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = f1._line, f2._line, f3._line
-    (p0, p1, p2), (q0, q1, q2), (r0, r1, r2) = f1._point, f2._point, f3._point
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = f1.line, f2.line, f3.line
+    (p0, p1, p2), (q0, q1, q2), (r0, r1, r2) = f1.point, f2.point, f3.point
     l1p2 = a0 * q0 + a1 * q1 + a2 * q2
     l3p2 = c0 * q0 + c1 * q1 + c2 * q2
     l3p1 = c0 * p0 + c1 * p1 + c2 * p2
@@ -204,11 +196,11 @@ def shear_logs(fpos: Flag, fneg: Flag, fup: Flag, fdown_point: ProjPoint) -> tup
     and `fdown_point` is the third vertex of the lower triangle (only its
     point enters).  Returns (sigma1, sigma2).
     """
-    down = fdown_point._triple
-    up = fup._point
-    shared = _cross(fpos._point, fneg._point)
+    down = fdown_point.coords
+    up = fup.point
+    shared = _cross(fpos.point, fneg.point)
     (w0, w1, w2), (u0, u1, u2), (d0, d1, d2) = shared, up, down
-    (n0, n1, n2), (m0, m1, m2) = fneg._line, fpos._line
+    (n0, n1, n2), (m0, m1, m2) = fneg.line, fpos.line
     d_up = w0 * u0 + w1 * u1 + w2 * u2
     d_down = w0 * d0 + w1 * d1 + w2 * d2
     neg_down = n0 * d0 + n1 * d1 + n2 * d2
@@ -248,7 +240,8 @@ class PantsFlagConfig:
 
     Positivity constraints keep every logarithm of the shear dictionary
     defined: b1, c2, b3, a2 > 1, a3 > x and x*c1 > 1.  Construction also
-    builds `inner_flags` and `outer_points`, which the oracle reads.
+    builds `inner_flags` and `outer_points`, which the oracle reads, and
+    `meets`, the pairwise meets of the inner flag planes (1&3, 1&2, 2&3).
     """
 
     x: float
@@ -272,7 +265,7 @@ class PantsFlagConfig:
         x = float(x)
         meet12 = (x, 1.0, -1.0)
         p2 = _INNER_POINTS[1]
-        object.__setattr__(self, "_meets", (_MEET13, meet12, (-x, x, 1.0)))
+        object.__setattr__(self, "meets", (_MEET13, meet12, (-x, x, 1.0)))
         object.__setattr__(self, "inner_flags",
                            (_INNER_FLAG1, Flag(p2, _cross(p2, meet12)), _INNER_FLAG3))
         object.__setattr__(self, "outer_points", (
@@ -280,15 +273,6 @@ class PantsFlagConfig:
             ProjPoint((a2, -1.0, c2)),
             ProjPoint((a3, b3, -1.0)),
         ))
-
-    @property
-    def inner_points(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return tuple(map(np.array, _INNER_POINTS))
-
-    @property
-    def intersection_points(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Pairwise meets of the inner flag planes: (1&3, 1&2, 2&3)."""
-        return tuple(map(np.array, self._meets))
 
 
 def config_from_fg(sigma1, sigma2, tau_plus: float) -> PantsFlagConfig:
@@ -368,24 +352,16 @@ def oracle_check(f: FGPants) -> OracleReport:
 
 class MonodromyBranch(NamedTuple):
     """One boundary holonomy, from the positive scaling root, as three float
-    rows (`matrix` returns a new ndarray), and its flag residual."""
+    rows, and its flag residual."""
 
     rows: tuple[tuple[float, float, float], ...]
     flag_residual: float
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array(self.rows)
 
 
 class MonodromyResult(NamedTuple):
     """Each holonomy as a one-entry tuple: its branch that keeps the cone."""
 
     branches: tuple[tuple[MonodromyBranch], ...]
-
-    @property
-    def matrices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return tuple(branch.matrix for (branch,) in self.branches)
 
 
 def reconstruct_monodromy(c: PantsFlagConfig, eigen) -> MonodromyResult:
@@ -415,13 +391,13 @@ def reconstruct_monodromy(c: PantsFlagConfig, eigen) -> MonodromyResult:
     if len(eigen) != 3:
         raise ValueError("exactly three eigenvalue triples are required")
     flags = c.inner_flags
-    points = [f._point for f in flags]
-    outer = [p._triple for p in c.outer_points]
+    points = [f.point for f in flags]
+    outer = [p.coords for p in c.outer_points]
     holonomies = []
     for i in range(3):
         lam, nu = eigen[i].lam, eigen[i].nu
         trace = lam + eigen[i].mu + nu
-        l0, l1, l2 = line = flags[i]._line
+        l0, l1, l2 = line = flags[i].line
         norm = nu * math.hypot(*line)
         # M fixes sources[0] and maps sources[1] -> images[1], sources[2] -> images[2].
         sources = (points[i], points[(i + 2) % 3], outer[(i + 1) % 3])

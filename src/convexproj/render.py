@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from .errors import ChartFailure
-from .flags import _INNER_POINTS, PantsFlagConfig
+from .flags import PantsFlagConfig
 
 CHART_TOL = 1e-9
 
@@ -45,9 +45,9 @@ def render_config_svg(config: PantsFlagConfig) -> str:
     """SVG document showing the four triangles and the three flag lines."""
     vertices = dict(zip(
         ("p1", "p2", "p3", "q1", "q2", "q3"),
-        (*_INNER_POINTS, *(op._triple for op in config.outer_points)),
+        (*(f.point for f in config.inner_flags), *(op.coords for op in config.outer_points)),
     ))
-    meets = dict(zip(("m13", "m12", "m23"), config._meets))
+    meets = dict(zip(("m13", "m12", "m23"), config.meets))
     charted = {name: chart_point(vec) for name, vec in {**vertices, **meets}.items()}
 
     triangles = [

@@ -207,7 +207,7 @@ def test_criterion_6_monodromy_reconstruction():
         eigen = [eigen_from_boundary(b) for b in g.boundary]
         result = reconstruct_monodromy(config, eigen)
         inner = config.inner_flags
-        for i, m in enumerate(result.matrices):
+        for i, m in enumerate(np.array(branch.rows) for (branch,) in result.branches):
             worst_det = max(worst_det, abs(np.linalg.det(m) - 1.0))
             values, vectors = np.linalg.eig(m)
             order = np.argsort(values.real)
@@ -215,7 +215,7 @@ def test_criterion_6_monodromy_reconstruction():
             wanted = np.array([eigen[i].lam, eigen[i].mu, eigen[i].nu])
             worst_spec = max(worst_spec, float(np.max(np.abs(spectrum - wanted) / wanted)))
             # repelling eigenvector sits at the prescribed coordinate point
-            point = config.inner_points[i]
+            point = np.array(inner[i].point)
             image = m @ point - eigen[i].lam * point
             worst_fix = max(worst_fix, float(np.linalg.norm(image)))
             # unstable flag equals the inner flag
@@ -228,7 +228,7 @@ def test_criterion_6_monodromy_reconstruction():
             )
             span = wedge2(v_lam, v_mu)
             span = span / np.linalg.norm(span)
-            line = inner[i].line / np.linalg.norm(inner[i].line)
+            line = np.array(inner[i].line) / np.linalg.norm(inner[i].line)
             line_res = min(np.linalg.norm(span - line), np.linalg.norm(span + line))
             worst_flag = max(worst_flag, point_res, line_res)
     assert worst_det <= 1e-10

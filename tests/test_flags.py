@@ -147,6 +147,23 @@ class TestFlag:
             with pytest.raises(ValueError, match="^zero vector has no direction$"):
                 Flag(point, line)
 
+    @pytest.mark.parametrize("point, line", [
+        ((1e200, 1e200, 0.0), (1e200, 1.0, 0.0)),     # cos 0.71; the bound overflows to inf
+        ((1e-200, 0.0, 0.0), (1e-200, 0.0, 0.0)),     # the line is the point; both sides underflow
+        ((1e200,) * 3, (1e200, -1e200, 1e200)),       # cos 1/3; the pairing overflows to nan
+    ], ids=["bound_overflows", "both_underflow", "pairing_nan"])
+    def test_incidence_does_not_depend_on_scale(self, point, line):
+        with pytest.raises(ValueError, match="^flag line does not pass through the flag point$"):
+            Flag(point, line)
+
+    @pytest.mark.parametrize("point, line", [
+        ((1e200, -1e200, 1e200), (1e200, 1e200, 0.0)),
+        ((5e199, 0.0, 0.0), (0.0, 3e199, 0.0)),
+    ])
+    def test_incident_flags_far_out_accepted(self, point, line):
+        flag = Flag(point, line)
+        assert (flag.point, flag.line) == (point, line)
+
 
 class TestTripleRatio:
     def test_symmetric_configuration_is_zero(self):
@@ -172,7 +189,7 @@ class TestTripleRatio:
         config = config_from_fg((-0.4, -1.1, -0.3), (-0.8, -0.2, -1.7), 0.3)
         f1, f2, f3 = config.inner_flags
         base = triple_ratio_log(f1, f2, f3)
-        scaled = Flag(5.0 * f1.point, -2.5 * f1.line)
+        scaled = Flag(5.0 * np.array(f1.point), -2.5 * np.array(f1.line))
         assert triple_ratio_log(scaled, f2, f3) == pytest.approx(base, abs=1e-12)
 
     def test_degenerate_pairing_raises(self):
@@ -440,17 +457,22 @@ def symmetric_monodromy():
     return config, eigen, reconstruct_monodromy(config, eigen)
 
 
+def matrices(result):
+    """Each holonomy's rows, from the one branch it keeps, as an ndarray."""
+    return [np.array(branch.rows) for (branch,) in result.branches]
+
+
 class TestMonodromy:
     def test_repelling_fixed_point(self):
         config, eigen, result = symmetric_monodromy()
-        m1 = result.matrices[0]
+        m1 = matrices(result)[0]
         assert m1 @ np.array([1.0, 0.0, 0.0]) == pytest.approx(
             E**-2 * np.array([1.0, 0.0, 0.0]), abs=1e-12
         )
 
     def test_spectra(self):
         config, eigen, result = symmetric_monodromy()
-        for i, m in enumerate(result.matrices):
+        for i, m in enumerate(matrices(result)):
             spectrum = np.sort(np.linalg.eigvals(m).real)
             assert spectrum == pytest.approx((E**-2, 1.0, E**2), rel=1e-8)
             assert np.linalg.det(m) == pytest.approx(1.0, abs=1e-10)
@@ -465,7 +487,7 @@ class TestMonodromy:
             eigen = [eigen_from_boundary(b) for b in g.boundary]
             result = reconstruct_monodromy(config, eigen)
             inner = config.inner_flags
-            for i, m in enumerate(result.matrices):
+            for i, m in enumerate(matrices(result)):
                 values, vectors = np.linalg.eig(m)
                 order = np.argsort(values.real)
                 v_lam = np.real(vectors[:, order[0]])
@@ -475,16 +497,16 @@ class TestMonodromy:
                 # line part: lam and mu eigenvectors span the flag plane
                 span = wedge2(v_lam, v_mu)
                 span /= np.linalg.norm(span)
-                line = inner[i].line / np.linalg.norm(inner[i].line)
+                line = np.array(inner[i].line) / np.linalg.norm(inner[i].line)
                 assert min(np.linalg.norm(span - line), np.linalg.norm(span + line)) <= 1e-8
 
     def test_triangle_images(self):
         # vertex correspondence: the inner vertex two steps along goes to the
         # outer vertex, and the adjacent outer vertex comes in
         config, eigen, result = symmetric_monodromy()
-        points = config.inner_points
-        outer = [p.coords for p in config.outer_points]
-        for i, m in enumerate(result.matrices):
+        points = [np.array(f.point) for f in config.inner_flags]
+        outer = [np.array(p.coords) for p in config.outer_points]
+        for i, m in enumerate(matrices(result)):
             image = m @ points[(i + 2) % 3]
             assert ProjPoint(image) == ProjPoint(outer[(i + 2) % 3])
             image = m @ outer[(i + 1) % 3]
@@ -496,7 +518,7 @@ class TestMonodromy:
         result = reconstruct_monodromy(report.config, report.eigen)
         for e, branches in zip(report.eigen, result.branches):
             assert branches[0].flag_residual <= 1e-12
-            spectrum = np.sort(np.linalg.eigvals(branches[0].matrix).real)
+            spectrum = np.sort(np.linalg.eigvals(np.array(branches[0].rows)).real)
             assert spectrum == pytest.approx((e.lam, e.mu, e.nu), rel=1e-6)
 
     def test_readme_sweep_at_bound_15(self):
@@ -523,8 +545,8 @@ class TestMonodromy:
 
 def holonomy_frames(c, i):
     """The points holonomy i fixes or moves (sources) and where they go (images)."""
-    points = [f._point for f in c.inner_flags]
-    outer = [p._triple for p in c.outer_points]
+    points = [f.point for f in c.inner_flags]
+    outer = [p.coords for p in c.outer_points]
     return ((points[i], points[(i + 2) % 3], outer[(i + 1) % 3]),
             (points[i], outer[(i + 2) % 3], points[(i + 1) % 3]))
 
@@ -583,8 +605,8 @@ class TestHolonomyQuadratic:
         # as det M = lam beta gamma = 1.  Far out, M @ o_{i+1} rounds to within
         # 1e-16 of the size of its terms, which can exceed gamma itself.
         for _, c, eigen in built_configurations(source):
-            outer = [p.coords for p in c.outer_points]
-            for i, m in enumerate(reconstruct_monodromy(c, eigen).matrices):
+            outer = [np.array(p.coords) for p in c.outer_points]
+            for i, m in enumerate(matrices(reconstruct_monodromy(c, eigen))):
                 k, j = (i + 2) % 3, (i + 1) % 3
                 beta = -m[k][k]
                 assert beta > 0.0
@@ -620,13 +642,13 @@ def listcomp_monodromy(c, eigen):
     its summation order cannot show; its products and the drift sums can.
     """
     flag_triples = c.inner_flags
-    points = [f._point for f in flag_triples]
-    outer = [p._triple for p in c.outer_points]
+    points = [f.point for f in flag_triples]
+    outer = [p.coords for p in c.outer_points]
     all_branches = []
     for i in range(3):
         lam, nu = eigen[i].lam, eigen[i].nu
         trace = lam + eigen[i].mu + nu
-        line = flag_triples[i]._line
+        line = flag_triples[i].line
         sources = [points[i], points[(i + 2) % 3], outer[(i + 1) % 3]]
         images = [points[i], outer[(i + 2) % 3], points[(i + 1) % 3]]
         cofactors = [flags._cross(sources[(j + 1) % 3], sources[(j + 2) % 3]) for j in range(3)]
@@ -672,12 +694,13 @@ class TestWrittenOutHolonomy:
         for f in tuples:
             report = oracle_check(f)
             result = reconstruct_monodromy(report.config, report.eigen)
-            written_out = [[(br.matrix.tobytes(), br.flag_residual) for br in entry]
+            written_out = [[(np.array(br.rows).tobytes(), br.flag_residual) for br in entry]
                            for entry in result.branches]
             reference = listcomp_monodromy(report.config, report.eigen)
             assert written_out == [[positive_root(i, branches)]
                                    for i, branches in enumerate(reference)]
-            assert [m.tobytes() for m in result.matrices] == [b[0][0] for b in written_out]
+            # each matrix is held once, as three rows of plain floats
+            assert all(type(v) is float for (br,) in result.branches for row in br.rows for v in row)
 
 
 # Earlier kernels, kept as references: the kernels now compute their
@@ -769,12 +792,12 @@ def reference_config_from_fg(sigma1, sigma2, tau_plus):
 
 def reference_triple_ratio_log(f1, f2, f3):
     ratio = (
-        _pairing(f1._line, f2._point, "l1.p2")
-        / _pairing(f3._line, f2._point, "l3.p2")
-        * _pairing(f3._line, f1._point, "l3.p1")
-        / _pairing(f2._line, f1._point, "l2.p1")
-        * _pairing(f2._line, f3._point, "l2.p3")
-        / _pairing(f1._line, f3._point, "l1.p3")
+        _pairing(f1.line, f2.point, "l1.p2")
+        / _pairing(f3.line, f2.point, "l3.p2")
+        * _pairing(f3.line, f1.point, "l3.p1")
+        / _pairing(f2.line, f1.point, "l2.p1")
+        * _pairing(f2.line, f3.point, "l2.p3")
+        / _pairing(f1.line, f3.point, "l1.p3")
     )
     if not ratio > 0.0:
         raise NonPositiveRatio(f"triple ratio must be positive, got {ratio!r}")
@@ -784,17 +807,17 @@ def reference_triple_ratio_log(f1, f2, f3):
 
 
 def reference_shear_logs(fpos, fneg, fup, fdown_point):
-    down = fdown_point._triple
-    shared = flags._cross(fpos._point, fneg._point)
-    d_up = _pairing(shared, fup._point, "pos^neg^up")
+    down = fdown_point.coords
+    shared = flags._cross(fpos.point, fneg.point)
+    d_up = _pairing(shared, fup.point, "pos^neg^up")
     d_down = _pairing(shared, down, "pos^neg^down")
     ratio1 = -(d_up / d_down) * (
-        _pairing(fneg._line, down, "lneg.down")
-        / _pairing(fneg._line, fup._point, "lneg.up")
+        _pairing(fneg.line, down, "lneg.down")
+        / _pairing(fneg.line, fup.point, "lneg.up")
     )
     ratio2 = -(d_down / d_up) * (
-        _pairing(fpos._line, fup._point, "lpos.up")
-        / _pairing(fpos._line, down, "lpos.down")
+        _pairing(fpos.line, fup.point, "lpos.up")
+        / _pairing(fpos.line, down, "lpos.down")
     )
     if not ratio1 > 0.0 or not ratio2 > 0.0:
         raise NonPositiveRatio(f"shear ratios must be positive, got ({ratio1!r}, {ratio2!r})")
@@ -812,8 +835,8 @@ def goldman_values(f):
 def config_values(sigma1, sigma2, tau_plus):
     c = config_from_fg(sigma1, sigma2, tau_plus)
     return ((c.x, c.a2, c.a3, c.b1, c.b3, c.c1, c.c2),
-            tuple((f._point, f._line) for f in c.inner_flags),
-            tuple(p._triple for p in c.outer_points))
+            tuple((f.point, f.line) for f in c.inner_flags),
+            tuple(p.coords for p in c.outer_points))
 
 
 def as_bits(value):

@@ -287,8 +287,8 @@ EXPECTED = {
     'floats_bools': (None, '(1.0, 0.0, 0.0)'),
     'floats_numpy_scalars': (None, '(0.5, 1.0, 2.0)'),
     'floats_ndarray': (None, '(1.0, 2.0, 3.0)'),
-    'floats_two': ('ValueError', 'cannot reshape array of size 2 into shape (3,)'),
-    'floats_four': ('ValueError', 'cannot reshape array of size 4 into shape (3,)'),
+    'floats_two': ('ValueError', 'a 3-vector has three coordinates, got 2'),
+    'floats_four': ('ValueError', 'a 3-vector has three coordinates, got 4'),
     'triple_valid': (None, '0.0'),
     'triple_l1p2_zero': ('DegenerateConfiguration', 'pairing l1.p2 is zero'),
     'triple_l3p2_zero': ('DegenerateConfiguration', 'pairing l3.p2 is zero'),

@@ -26,7 +26,7 @@ class TestChart:
             config = config_from_fg(
                 rng.uniform(-2.5, 0.5, 3), rng.uniform(-2.5, 0.5, 3), rng.uniform(-1, 1)
             )
-            for point in (*config.inner_points, *config.intersection_points):
+            for point in (*(flag.point for flag in config.inner_flags), *config.meets):
                 chart_point(point)
             for outer in config.outer_points:
                 chart_point(outer.coords)
@@ -55,8 +55,8 @@ class TestGeometry:
         # coordinates maps the drawn vertex set to itself
         config = config_from_fg((-0.7,) * 3, (-0.7,) * 3, 0.0)
         assert config.x == pytest.approx(1.0)
-        vertices = [np.asarray(p, dtype=float) for p in config.inner_points]
-        vertices += [op.coords for op in config.outer_points]
+        vertices = [np.array(flag.point) for flag in config.inner_flags]
+        vertices += [np.array(op.coords) for op in config.outer_points]
         charted = sorted(chart_point(v) for v in vertices)
         rotated = sorted(chart_point(np.roll(v, 1)) for v in vertices)
         assert np.allclose(charted, rotated, atol=1e-12)

@@ -66,6 +66,19 @@ def test_flag_kernel_does_no_numpy_arithmetic():
     assert found == []
 
 
+def test_numpy_read_only_by_the_wedges():
+    # the flag values are float triples; numpy only builds wedge2's ndarray, so
+    # deferring its import touches these two functions and nothing else
+    tree = ast.parse((SRC / "flags.py").read_text())
+    inside = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name in {"wedge2", "wedge3"}:
+            inside.update(map(id, ast.walk(node)))
+    found = [f"flags.py:{node.lineno}" for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id == "np" and id(node) not in inside]
+    assert found == []
+
+
 def test_traced_names_resolve():
     # perfbench/tracer.py wraps these names at every binding; a renamed one
     # would only show in the benchmark harness's own tests
