@@ -33,10 +33,6 @@ from .errors import DegenerateConfiguration, NonPositiveRatio
 from .pants import FGPants, fg_to_goldman
 from .spectral import _REAL, EigenTriple, _new, eigen_from_boundary
 
-# Coordinates below this fraction of a point's largest one are not used as
-# the pivot of its canonical representative.
-DEGENERACY_TOL = 1e-12
-
 
 def _cross(u, v) -> tuple[float, float, float]:
     u0, u1, u2 = u
@@ -72,38 +68,6 @@ def wedge2(u, v) -> np.ndarray:
 def wedge3(u, v, w) -> float:
     """Determinant of the 3x3 matrix with rows u, v, w."""
     return _dot(_cross(_floats(u), _floats(v)), _floats(w))
-
-
-@dataclass(frozen=True, eq=False)
-class ProjPoint:
-    """Point of the projective plane, stored as homogeneous coordinates.
-
-    Two points are equal when their canonical representatives agree; the
-    canonical representative rescales so the first coordinate of nonsmall
-    magnitude becomes +1.  `coords` is the float triple as given and
-    `canonical()` the rescaled one.
-    """
-
-    coords: tuple[float, float, float]
-
-    def __init__(self, coords):
-        triple = _floats(coords)
-        if not all(map(math.isfinite, triple)) or not any(triple):
-            raise ValueError(f"homogeneous coordinates must be finite and not all zero: {coords!r}")
-        object.__setattr__(self, "coords", triple)
-
-    def canonical(self) -> tuple[float, float, float]:
-        # the triple is finite and not all zero, so its largest coordinate clears the floor
-        scale_floor = DEGENERACY_TOL * max(map(abs, self.coords))
-        pivot = next(value for value in self.coords if abs(value) > scale_floor)
-        return tuple(c / pivot for c in self.coords)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ProjPoint):
-            return NotImplemented
-        # np.allclose's rule per coordinate: |a - b| <= 1e-8 + 1e-8 * |b|
-        return all(abs(a - b) <= 1e-8 + 1e-8 * abs(b)
-                   for a, b in zip(self.canonical(), other.canonical()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,18 +152,17 @@ def triple_ratio_log(f1: Flag, f2: Flag, f3: Flag) -> float:
     raise DegenerateConfiguration("triple ratio overflows a float")
 
 
-def shear_logs(fpos: Flag, fneg: Flag, fup: Flag, fdown_point: ProjPoint) -> tuple[float, float]:
+def shear_logs(fpos: Flag, fneg: Flag, fup: Flag, down) -> tuple[float, float]:
     """Both shear invariants of one oriented line shared by two triangles.
 
     `fpos` and `fneg` are the flags at the positive and negative endpoint of
     the line, `fup` is the flag at the third vertex of the upper triangle,
-    and `fdown_point` is the third vertex of the lower triangle (only its
-    point enters).  Returns (sigma1, sigma2).
+    and `down` is the point at the third vertex of the lower triangle, as
+    any three reals.  Returns (sigma1, sigma2).
     """
-    down = fdown_point.coords
     up = fup.point
     shared = _cross(fpos.point, fneg.point)
-    (w0, w1, w2), (u0, u1, u2), (d0, d1, d2) = shared, up, down
+    (w0, w1, w2), (u0, u1, u2), (d0, d1, d2) = shared, up, _floats(down)
     (n0, n1, n2), (m0, m1, m2) = fneg.line, fpos.line
     d_up = w0 * u0 + w1 * u1 + w2 * u2
     d_down = w0 * d0 + w1 * d1 + w2 * d2
@@ -208,6 +171,10 @@ def shear_logs(fpos: Flag, fneg: Flag, fup: Flag, fdown_point: ProjPoint) -> tup
     pos_up = m0 * u0 + m1 * u1 + m2 * u2
     pos_down = m0 * d0 + m1 * d1 + m2 * d2
     if not 0.0 < abs(d_up * d_down * neg_down * neg_up * pos_up * pos_down) < math.inf:
+        # the flag lines are finite and nonzero, so a non-finite or zero `down`
+        # makes lneg.down non-finite or zero and is caught here
+        if not all(map(math.isfinite, (d0, d1, d2))) or not (d0 or d1 or d2):
+            raise ValueError(f"homogeneous coordinates must be finite and not all zero: {down!r}")
         _check_pairings((d_up, d_down, neg_down, neg_up, pos_up, pos_down), _SHEAR_PAIRINGS)
     ratio1 = -(d_up / d_down) * (neg_down / neg_up)
     ratio2 = -(d_down / d_up) * (pos_up / pos_down)
@@ -241,7 +208,8 @@ class PantsFlagConfig:
     Positivity constraints keep every logarithm of the shear dictionary
     defined: b1, c2, b3, a2 > 1, a3 > x and x*c1 > 1.  Construction also
     builds `inner_flags` and `outer_points`, which the oracle reads, and
-    `meets`, the pairwise meets of the inner flag planes (1&3, 1&2, 2&3).
+    `meets`, the pairwise meets of the inner flag planes (1&3, 1&2, 2&3);
+    the outer points and the meets are float triples.
     """
 
     x: float
@@ -262,17 +230,13 @@ class PantsFlagConfig:
                                    ("a2", a2, 1.0), ("a3", a3, x), ("x*c1", x * c1, 1.0)):
             if not value > bound:
                 raise ValueError(f"{name} = {value!r} must exceed {bound!r}")
-        x = float(x)
+        x, a2, a3, b1, b3, c1, c2 = map(float, fields)
         meet12 = (x, 1.0, -1.0)
         p2 = _INNER_POINTS[1]
         object.__setattr__(self, "meets", (_MEET13, meet12, (-x, x, 1.0)))
         object.__setattr__(self, "inner_flags",
                            (_INNER_FLAG1, Flag(p2, _cross(p2, meet12)), _INNER_FLAG3))
-        object.__setattr__(self, "outer_points", (
-            ProjPoint((-1.0, b1, c1)),
-            ProjPoint((a2, -1.0, c2)),
-            ProjPoint((a3, b3, -1.0)),
-        ))
+        object.__setattr__(self, "outer_points", ((-1.0, b1, c1), (a2, -1.0, c2), (a3, b3, -1.0)))
 
 
 def config_from_fg(sigma1, sigma2, tau_plus: float) -> PantsFlagConfig:
@@ -392,7 +356,7 @@ def reconstruct_monodromy(c: PantsFlagConfig, eigen) -> MonodromyResult:
         raise ValueError("exactly three eigenvalue triples are required")
     flags = c.inner_flags
     points = [f.point for f in flags]
-    outer = [p.coords for p in c.outer_points]
+    outer = c.outer_points
     holonomies = []
     for i in range(3):
         lam, nu = eigen[i].lam, eigen[i].nu

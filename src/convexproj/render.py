@@ -45,7 +45,7 @@ def render_config_svg(config: PantsFlagConfig) -> str:
     """SVG document showing the four triangles and the three flag lines."""
     vertices = dict(zip(
         ("p1", "p2", "p3", "q1", "q2", "q3"),
-        (*(f.point for f in config.inner_flags), *(op.coords for op in config.outer_points)),
+        (*(f.point for f in config.inner_flags), *config.outer_points),
     ))
     meets = dict(zip(("m13", "m12", "m23"), config.meets))
     charted = {name: chart_point(vec) for name, vec in {**vertices, **meets}.items()}
@@ -89,8 +89,6 @@ def render_config_svg(config: PantsFlagConfig) -> str:
         cx, cy = (x0 + x1 + x2) / 3, (y0 + y1 + y2) / 3
         dx, dy = x2 - x0, y2 - y0
         norm = math.hypot(dx, dy)
-        if norm < 1e-12:
-            dx, dy, norm = 1.0, 0.0, 1.0
         dx, dy = dx / norm, dy / norm
         reach = 0.75 * span
         a = to_px((cx - reach * dx, cy - reach * dy))

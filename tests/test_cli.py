@@ -729,6 +729,12 @@ class TestRender:
                          tmp_path / "x.svg")
         assert result.returncode == 2
 
+    def test_unknown_pants_message(self, tmp_path):
+        out = tmp_path / "x.svg"
+        code, err = run_main("render", SAMPLES / "pants_bd.json", "--pants", "PX", out)
+        assert (code, err) == (2, "error: no pants 'PX' in this file\n")
+        assert not out.exists()
+
     def test_invalid_domain_exit_3(self, tmp_path):
         data = json.loads((SAMPLES / "pants_bd.json").read_text())
         data["values"]["pants"]["P0"]["sigma1"] = [2.0, 2.0, 2.0]

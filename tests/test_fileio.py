@@ -61,6 +61,11 @@ class TestLoadSamples:
         with pytest.raises(SchemaError):
             cf.bd()
 
+    def test_bd_file_has_no_goldman_view(self):
+        cf = fileio.load_file(SAMPLES / "pants_bd.json")
+        with pytest.raises(SchemaError, match=r"^file holds 'bd' values, not goldman$"):
+            cf.goldman()
+
     def test_window_violation_names_curve_path(self):
         data = json.loads((SAMPLES / "genus2_goldman.json").read_text())
         data["values"]["curves"]["c2"]["tau"] = 4.0

@@ -19,7 +19,6 @@ from convexproj.errors import (
 from convexproj.flags import (
     Flag,
     PantsFlagConfig,
-    ProjPoint,
     config_from_fg,
     fg_from_config,
     oracle_check,
@@ -112,19 +111,6 @@ class TestWedges:
         u, v, w = rng.normal(size=(3, 3))
         assert wedge3(u, v, w) == pytest.approx(-wedge3(v, u, w), rel=1e-12)
         assert wedge3(u, v, w) == pytest.approx(-wedge3(u, w, v), rel=1e-12)
-
-
-class TestProjPoint:
-    def test_scaling_equality(self):
-        assert ProjPoint([1.0, 2.0, -3.0]) == ProjPoint([-2.0, -4.0, 6.0])
-        assert ProjPoint([1.0, 2.0, -3.0]) != ProjPoint([1.0, 2.0, 3.0])
-
-    def test_canonical_leading_one(self):
-        assert ProjPoint([0.0, -2.0, 4.0]).canonical() == pytest.approx([0.0, 1.0, -2.0])
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            ProjPoint([0.0, 0.0, 0.0])
 
 
 class TestFlag:
@@ -241,20 +227,20 @@ class TestShearLogs:
         fneg = Flag([0.0, 1.0, 0.0], [0.0, 0.0, 1.0])
         fup = Flag([1.0, 1.0, 0.0], [0.0, 0.0, 1.0])
         with pytest.raises(DegenerateConfiguration, match=r"pairing pos\^neg\^up is zero"):
-            shear_logs(fpos, fneg, fup, ProjPoint([1.0, 1.0, 1.0]))
+            shear_logs(fpos, fneg, fup, [1.0, 1.0, 1.0])
 
     def test_overflowing_pairing_raises(self):
         config = config_from_fg(SYMMETRIC.sigma1, SYMMETRIC.sigma2, SYMMETRIC.tau_plus)
         f1, f2, f3 = config.inner_flags
         with pytest.raises(DegenerateConfiguration, match=r"pairing lpos\.down overflows a float"):
-            shear_logs(f2, f3, f1, ProjPoint([1e308, 1.0, 1e308]))
+            shear_logs(f2, f3, f1, [1e308, 1.0, 1e308])
 
     def test_overflowing_ratio_raises(self):
         # every pairing is finite; their quotient is not
         config = config_from_fg(SYMMETRIC.sigma1, SYMMETRIC.sigma2, SYMMETRIC.tau_plus)
         f1, f2, f3 = config.inner_flags
         with pytest.raises(DegenerateConfiguration, match=r"shear ratio sigma1 overflows a float"):
-            shear_logs(f2, f3, f1, ProjPoint([-1e-320, 1.0, 1.0]))
+            shear_logs(f2, f3, f1, [-1e-320, 1.0, 1.0])
 
     def test_underflowing_ratio_raises(self):
         # pos^neg^up = lneg.down = 1e-200, so sigma1's ratio 1e-400 reads +0.0
@@ -262,11 +248,11 @@ class TestShearLogs:
         fneg = Flag((0, 1, 0), (1, 0, 0))
         fup = Flag((1, 1, 1e-200), (1, -1, 0))
         with pytest.raises(DegenerateConfiguration) as info:
-            shear_logs(fpos, fneg, fup, ProjPoint((1e-200, 1, -1)))
+            shear_logs(fpos, fneg, fup, (1e-200, 1, -1))
         assert str(info.value) == "shear ratio sigma1 underflows a float"
         # lneg.down = -1e-200: the ratio is negative and reads -0.0
         with pytest.raises(NonPositiveRatio) as info:
-            shear_logs(fpos, fneg, fup, ProjPoint((-1e-200, 1, -1)))
+            shear_logs(fpos, fneg, fup, (-1e-200, 1, -1))
         assert str(info.value) == "shear ratios must be positive, got (-0.0, 3.333333333333333e+199)"
 
     def test_symmetric_example(self):
@@ -361,7 +347,7 @@ class TestProjectiveInvariance:
             a /= np.cbrt(np.linalg.det(a))
             a_inv = np.linalg.inv(a)
             moved = [Flag(a @ fl.point, fl.line @ a_inv) for fl in inner]
-            moved_outer = [ProjPoint(a @ op.coords) for op in outer]
+            moved_outer = [a @ op for op in outer]
             assert triple_ratio_log(*moved) == pytest.approx(base_triple, abs=1e-9)
             for i in range(3):
                 s1, s2 = shear_logs(
@@ -432,22 +418,20 @@ class TestOracleCheck:
         assert counts == {"cross": 13, "Flag": 1}
 
     def test_monodromy_reuses_the_oracle_flags(self, monkeypatch):
-        counts = {"Flag": 0, "ProjPoint": 0}
-        flag_init, point_init = Flag.__init__, ProjPoint.__init__
+        counts = {"Flag": 0}
+        flag_init = Flag.__init__
 
         def counting_flag(self, point, line):
             counts["Flag"] += 1
             flag_init(self, point, line)
 
-        def counting_point(self, coords):
-            counts["ProjPoint"] += 1
-            point_init(self, coords)
-
         monkeypatch.setattr(Flag, "__init__", counting_flag)
-        monkeypatch.setattr(ProjPoint, "__init__", counting_point)
         report = oracle_check(SYMMETRIC)
         reconstruct_monodromy(report.config, report.eigen)
-        assert counts == {"Flag": 1, "ProjPoint": 3}
+        assert counts == {"Flag": 1}
+        # no other value object: the outer points and meets are plain float triples
+        for triple in (*report.config.outer_points, *report.config.meets):
+            assert type(triple) is tuple and {type(v) for v in triple} == {float}
 
 
 def symmetric_monodromy():
@@ -455,6 +439,17 @@ def symmetric_monodromy():
     config = config_from_fg(SYMMETRIC.sigma1, SYMMETRIC.sigma2, SYMMETRIC.tau_plus)
     eigen = [eigen_from_boundary(b) for b in g.boundary]
     return config, eigen, reconstruct_monodromy(config, eigen)
+
+
+def same_point(u, v):
+    """Projective equality: each triple rescaled so that its first coordinate
+    above 1e-12 of its largest is +1, then np.allclose's rule per coordinate,
+    |a - b| <= 1e-8 + 1e-8 * |b|."""
+    def canonical(w):
+        floor = 1e-12 * max(map(abs, w))
+        pivot = next(c for c in w if abs(c) > floor)
+        return [c / pivot for c in w]
+    return np.allclose(canonical(u), canonical(v), rtol=1e-8, atol=1e-8)
 
 
 def matrices(result):
@@ -493,7 +488,7 @@ class TestMonodromy:
                 v_lam = np.real(vectors[:, order[0]])
                 v_mu = np.real(vectors[:, order[1]])
                 # point part: the repelling eigenvector is the coordinate point
-                assert ProjPoint(v_lam) == ProjPoint(inner[i].point)
+                assert same_point(v_lam, inner[i].point)
                 # line part: lam and mu eigenvectors span the flag plane
                 span = wedge2(v_lam, v_mu)
                 span /= np.linalg.norm(span)
@@ -505,12 +500,12 @@ class TestMonodromy:
         # outer vertex, and the adjacent outer vertex comes in
         config, eigen, result = symmetric_monodromy()
         points = [np.array(f.point) for f in config.inner_flags]
-        outer = [np.array(p.coords) for p in config.outer_points]
+        outer = [np.array(p) for p in config.outer_points]
         for i, m in enumerate(matrices(result)):
             image = m @ points[(i + 2) % 3]
-            assert ProjPoint(image) == ProjPoint(outer[(i + 2) % 3])
+            assert same_point(image, outer[(i + 2) % 3])
             image = m @ outer[(i + 1) % 3]
-            assert ProjPoint(image) == ProjPoint(points[(i + 1) % 3])
+            assert same_point(image, points[(i + 1) % 3])
 
     @pytest.mark.parametrize("sigma1, sigma2", ILL_CONDITIONED)
     def test_ill_conditioned_holonomies(self, sigma1, sigma2):
@@ -546,7 +541,7 @@ class TestMonodromy:
 def holonomy_frames(c, i):
     """The points holonomy i fixes or moves (sources) and where they go (images)."""
     points = [f.point for f in c.inner_flags]
-    outer = [p.coords for p in c.outer_points]
+    outer = c.outer_points
     return ((points[i], points[(i + 2) % 3], outer[(i + 1) % 3]),
             (points[i], outer[(i + 2) % 3], points[(i + 1) % 3]))
 
@@ -605,7 +600,7 @@ class TestHolonomyQuadratic:
         # as det M = lam beta gamma = 1.  Far out, M @ o_{i+1} rounds to within
         # 1e-16 of the size of its terms, which can exceed gamma itself.
         for _, c, eigen in built_configurations(source):
-            outer = [np.array(p.coords) for p in c.outer_points]
+            outer = [np.array(p) for p in c.outer_points]
             for i, m in enumerate(matrices(reconstruct_monodromy(c, eigen))):
                 k, j = (i + 2) % 3, (i + 1) % 3
                 beta = -m[k][k]
@@ -643,7 +638,7 @@ def listcomp_monodromy(c, eigen):
     """
     flag_triples = c.inner_flags
     points = [f.point for f in flag_triples]
-    outer = [p.coords for p in c.outer_points]
+    outer = c.outer_points
     all_branches = []
     for i in range(3):
         lam, nu = eigen[i].lam, eigen[i].nu
@@ -806,8 +801,7 @@ def reference_triple_ratio_log(f1, f2, f3):
     return math.log(ratio)
 
 
-def reference_shear_logs(fpos, fneg, fup, fdown_point):
-    down = fdown_point.coords
+def reference_shear_logs(fpos, fneg, fup, down):
     shared = flags._cross(fpos.point, fneg.point)
     d_up = _pairing(shared, fup.point, "pos^neg^up")
     d_down = _pairing(shared, down, "pos^neg^down")
@@ -836,7 +830,7 @@ def config_values(sigma1, sigma2, tau_plus):
     c = config_from_fg(sigma1, sigma2, tau_plus)
     return ((c.x, c.a2, c.a3, c.b1, c.b3, c.c1, c.c2),
             tuple((f.point, f.line) for f in c.inner_flags),
-            tuple(p.coords for p in c.outer_points))
+            c.outer_points)
 
 
 def as_bits(value):
@@ -923,7 +917,7 @@ class TestLeanKernels:
         rng = np.random.default_rng(1403)
         for _ in range(3000):
             f1, f2, f3 = (random_flag(rng) for _ in range(3))
-            down = ProjPoint(rng.normal(size=3))
+            down = rng.normal(size=3).tolist()
             assert outcome(triple_ratio_log, f1, f2, f3) == outcome(
                 reference_triple_ratio_log, f1, f2, f3)
             assert outcome(shear_logs, f1, f2, f3, down) == outcome(

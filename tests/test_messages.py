@@ -17,7 +17,7 @@ import pytest
 import convexproj.pants as pants
 import convexproj.spectral as spectral
 from convexproj.errors import ClosureViolation, SchemaError, WindowViolation, located
-from convexproj.flags import Flag, PantsFlagConfig, ProjPoint, _floats, shear_logs, triple_ratio_log
+from convexproj.flags import Flag, PantsFlagConfig, _floats, shear_logs, triple_ratio_log
 from convexproj.pants import FGPants, GoldmanPants, fg_to_goldman
 from convexproj.spectral import BoundaryInvariant
 
@@ -51,7 +51,7 @@ def shear(up=(1.0, 1.0, 1.0), down=(3.0, 3.0, -1.0), pos=(1.0, 0.0, 0.0)):
         fpos = Flag(pos, (0.0, 2.0, 3.0))
         fneg = Flag((0.0, 1.0, 0.0), (1.0, 0.0, 2.0))
         fup = Flag(up, (up[1], -up[0], 0.0))
-        return shear_logs(fpos, fneg, fup, ProjPoint(down))
+        return shear_logs(fpos, fneg, fup, down)
     return run
 
 
@@ -175,6 +175,8 @@ CASES = {
     "shear_lneg_up_zero_lneg_down_overflows": shear(up=(-2.0, 1.0, 1.0), down=(3.0, 3.0, -1e308)),
     "shear_lpos_up_zero_lpos_down_zero": shear(up=(1.0, -3.0, 2.0), down=(3.0, 3.0, -2.0)),
     "shear_negative": shear(down=(1.0, 3.0, -1.0)),
+    "shear_down_nan": shear(down=(math.nan, 3.0, -1.0)),
+    "shear_down_all_zero": shear(down=(0.0, 0.0, 0.0)),
 }
 
 EXPECTED = {
@@ -325,6 +327,10 @@ EXPECTED = {
     'shear_lneg_up_zero_lneg_down_overflows':
         ('DegenerateConfiguration', 'pairing lneg.down overflows a float'),
     'shear_lpos_up_zero_lpos_down_zero': ('DegenerateConfiguration', 'pairing lpos.up is zero'),
+    'shear_down_all_zero':
+        ('ValueError', 'homogeneous coordinates must be finite and not all zero: (0.0, 0.0, 0.0)'),
+    'shear_down_nan':
+        ('ValueError', 'homogeneous coordinates must be finite and not all zero: (nan, 3.0, -1.0)'),
     'shear_negative':
         ('NonPositiveRatio', 'shear ratios must be positive, got (-0.3333333333333333, '
                              '1.6666666666666667)'),

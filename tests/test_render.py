@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ class TestChart:
             for point in (*(flag.point for flag in config.inner_flags), *config.meets):
                 chart_point(point)
             for outer in config.outer_points:
-                chart_point(outer.coords)
+                chart_point(outer)
 
 
 class TestSvgStructure:
@@ -56,7 +57,7 @@ class TestGeometry:
         config = config_from_fg((-0.7,) * 3, (-0.7,) * 3, 0.0)
         assert config.x == pytest.approx(1.0)
         vertices = [np.array(flag.point) for flag in config.inner_flags]
-        vertices += [np.array(op.coords) for op in config.outer_points]
+        vertices += [np.array(op) for op in config.outer_points]
         charted = sorted(chart_point(v) for v in vertices)
         rotated = sorted(chart_point(np.roll(v, 1)) for v in vertices)
         assert np.allclose(charted, rotated, atol=1e-12)
@@ -66,6 +67,23 @@ class TestGeometry:
         moved = config_from_fg((-1.0,) * 3, (-1.0,) * 3, 2.0)
         assert moved.a3 == pytest.approx(base.a3 * math.exp(2.0), rel=1e-12)
         assert moved.c1 == pytest.approx(base.c1 * math.exp(-2.0), rel=1e-12)
-        assert chart_point(moved.outer_points[2].coords) != pytest.approx(
-            chart_point(base.outer_points[2].coords)
+        assert chart_point(moved.outer_points[2]) != pytest.approx(
+            chart_point(base.outer_points[2])
         )
+
+    @pytest.mark.parametrize("tau_plus", [0.0, 20.0, 28.0, 40.0])
+    def test_flag_lines_run_along_their_points(self, tau_plus):
+        # flag line i passes through inner vertex i and two meets; the drawn
+        # segment must be parallel to every chord between them (svg y points down)
+        config = config_from_fg((-1.0,) * 3, (-1.0,) * 3, tau_plus)
+        (p1, p2, p3), (m13, m12, m23) = (f.point for f in config.inner_flags), config.meets
+        svg = render_config_svg(config)
+        drawn = re.findall(r'<line x1="(\S+)" y1="(\S+)" x2="(\S+)" y2="(\S+)"', svg)
+        assert len(drawn) == 3
+        for points, ends in zip([(p1, m13, m12), (p2, m12, m23), (p3, m13, m23)], drawn):
+            x1, y1, x2, y2 = map(float, ends)
+            along = np.array([x2 - x1, y1 - y2]) / math.hypot(x2 - x1, y2 - y1)
+            first, *others = (np.array(chart_point(p)) for p in points)
+            for other in others:
+                chord = (other - first) / np.linalg.norm(other - first)
+                assert abs(along[0] * chord[1] - along[1] * chord[0]) <= 1e-4

@@ -358,6 +358,20 @@ class TestClosure:
         assert "c" in str(err.value)
         assert err.value.report is not None
 
+    def test_bundle_without_a_curve_or_a_pants_refused(self):
+        d = genus2_surface()
+        g = surface_goldman(d, np.random.default_rng(103))
+        b = goldman_to_bd(d, g)
+        curves = {key: value for key, value in g.curves.items() if key != "c0"}
+        with pytest.raises(CountMismatch, match="^curve values do not match the decomposition$"):
+            goldman_to_bd(d, replace(g, curves=curves))
+        message = "^pants values do not match the decomposition$"
+        with pytest.raises(CountMismatch, match=message):
+            goldman_to_bd(d, replace(g, pants={"P0": g.pants["P0"]}))
+        for convert in (validate_closure, bd_to_goldman):
+            with pytest.raises(CountMismatch, match=message):
+                convert(d, replace(b, pants={"P0": b.pants["P0"]}))
+
     def test_window_violation_names_pants(self):
         # all six lengths are positive, but lambda = e^-802 underflows to 0.0
         f = FGPants((-1.0,) * 3, (-1.0,) * 3, 0.0, -1200.0)
