@@ -19,13 +19,12 @@ only adds the traceback, for debugging.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import gc
 import os
 import re
 import sys
-import traceback
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 from . import fileio
@@ -200,7 +199,7 @@ class Command(NamedTuple):
     """One subcommand: its handler, its help line, and its arguments as
     (name, add_argument keywords) pairs, in the order they are declared."""
 
-    handler: Callable[[argparse.Namespace], int]
+    handler: Callable[[SimpleNamespace], int]
     help: str
     arguments: tuple[tuple[str, dict], ...]
 
@@ -236,8 +235,9 @@ COMMANDS = {
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process; `parse_args` leaves it unchanged."""
+def build_parser():
+    """The one parser of the process, unchanged by `parse_args`; argparse loads only here."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="convexproj",
         description="Convert, validate and certify coordinates for convex "
@@ -252,8 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def match(argv: list) -> argparse.Namespace | None:
-    """What `build_parser().parse_args(argv)` returns, for a command line that
+def match(argv: list) -> SimpleNamespace | None:
+    """The attributes of `build_parser().parse_args(argv)`, for a command line that
     argparse reads in one way only; None for any other, which is left to argparse.
 
     Matched: every token a str, the first a command name, every token that
@@ -305,7 +305,7 @@ def match(argv: list) -> argparse.Namespace | None:
     if required or len(given) != len(positionals):
         return None
     values.update(zip(positionals, given))
-    return argparse.Namespace(**values)
+    return SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
@@ -320,6 +320,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (CoordinateError, OSError) as err:
         if os.environ.get("CONVEXPROJ_VERBOSE"):
+            import traceback
             traceback.print_exc()
         print(f"error: {err}", file=sys.stderr)
         return err.exit_code if isinstance(err, CoordinateError) else 2

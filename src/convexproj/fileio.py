@@ -40,14 +40,13 @@ import json
 import os
 import stat
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _string
 from math import fsum, isfinite
 
 from .errors import CoordinateError, DomainViolation, SchemaError, located
 from .pants import FGPants
-from .spectral import BoundaryInvariant
+from .spectral import BoundaryInvariant, _Record
 from .surface import (
     ArcData,
     BoundarySlot,
@@ -119,23 +118,26 @@ _LAYOUTS = {
 _TRIPLES = frozenset(("sigma1", "sigma2"))
 
 
-@dataclass(frozen=True)
-class GoldmanValues:
+class GoldmanValues(_Record):
     """A goldman file's numbers: unchecked (lambda, tau), (u, v) and (s, t) pairs."""
 
-    curves: dict[str, tuple[float, float]]
-    uv: dict[str, tuple[float, float]]
-    pants: dict[str, tuple[float, float]]
+    __slots__ = _fields = ("curves", "uv", "pants")
+
+    def __init__(self, curves: dict[str, tuple[float, float]], uv: dict[str, tuple[float, float]],
+                 pants: dict[str, tuple[float, float]]):
+        self._store(curves, uv, pants)
 
 
-@dataclass
-class CoordinateFile:
+class CoordinateFile(_Record):
     """Parsed coordinate file: the combinatorics plus its system's ``SurfaceBD`` or
     ``GoldmanValues``; ``goldman()`` checks each (lambda, tau) window."""
 
-    decomposition: PantsDecomposition
-    system: str
-    values: GoldmanValues | SurfaceBD
+    __slots__ = _fields = ("decomposition", "system", "values")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, decomposition: PantsDecomposition, system: str,
+                 values: GoldmanValues | SurfaceBD):
+        self._store(decomposition, system, values)
 
     def goldman(self) -> SurfaceGoldman:
         if self.system != GOLDMAN:

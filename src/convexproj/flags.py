@@ -24,14 +24,13 @@ dictionary
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateConfiguration, NonPositiveRatio
 from .pants import FGPants, fg_to_goldman
-from .spectral import _REAL, EigenTriple, _new, eigen_from_boundary
+from .spectral import _REAL, EigenTriple, _new, _Record, _set, eigen_from_boundary
 
 
 def _cross(u, v) -> tuple[float, float, float]:
@@ -70,19 +69,18 @@ def wedge3(u, v, w) -> float:
     return _dot(_cross(_floats(u), _floats(v)), _floats(w))
 
 
-@dataclass(frozen=True, eq=False)
-class Flag:
+class Flag(_Record):
     """A point together with a line through it.
 
     The point carries the 1-dimensional part, the line covector the
     2-dimensional part; finite coordinates and incidence, relative to the
     two norms, are required at construction.  Both are stored as given, as
     float triples: every invariant below is unchanged when either is
-    rescaled.
+    rescaled.  A flag is equal only to itself.
     """
 
-    point: tuple[float, float, float]
-    line: tuple[float, float, float]
+    __slots__ = _fields = ("point", "line")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, point, line):
         p = _floats(point)
@@ -98,8 +96,8 @@ class Flag:
         l_unit = (l0 / l_max, l1 / l_max, l2 / l_max)
         if abs(_dot(l_unit, p_unit)) > 1e-12 * math.hypot(*l_unit) * math.hypot(*p_unit):
             raise ValueError("flag line does not pass through the flag point")
-        object.__setattr__(self, "point", p)
-        object.__setattr__(self, "line", ell)
+        _set(self, "point", p)
+        _set(self, "line", ell)
 
 
 def _check_pairings(pairings, names) -> None:
@@ -201,8 +199,7 @@ _INNER_FLAG3 = Flag(_INNER_POINTS[2], _cross(_INNER_POINTS[2], _MEET13))
 _CONFIG_FIELDS = ("x", "a2", "a3", "b1", "b3", "c1", "c2")
 
 
-@dataclass(frozen=True)
-class PantsFlagConfig:
+class PantsFlagConfig(_Record):
     """The normalized flag configuration of a pair of pants.
 
     Positivity constraints keep every logarithm of the shear dictionary
@@ -212,17 +209,12 @@ class PantsFlagConfig:
     the outer points and the meets are float triples.
     """
 
-    x: float
-    a2: float
-    a3: float
-    b1: float
-    b3: float
-    c1: float
-    c2: float
+    _fields = _CONFIG_FIELDS
+    __slots__ = _CONFIG_FIELDS + ("meets", "inner_flags", "outer_points")
 
-    def __post_init__(self):
-        fields = (self.x, self.a2, self.a3, self.b1, self.b3, self.c1, self.c2)
-        x, a2, a3, b1, b3, c1, c2 = fields
+    def __init__(self, x: float, a2: float, a3: float, b1: float, b3: float, c1: float,
+                 c2: float):
+        fields = (x, a2, a3, b1, b3, c1, c2)
         for name, value in zip(_CONFIG_FIELDS, fields):
             if not (isinstance(value, _REAL) and math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be a positive finite real, got {value!r}")
@@ -230,13 +222,14 @@ class PantsFlagConfig:
                                    ("a2", a2, 1.0), ("a3", a3, x), ("x*c1", x * c1, 1.0)):
             if not value > bound:
                 raise ValueError(f"{name} = {value!r} must exceed {bound!r}")
+        for name, value in zip(_CONFIG_FIELDS, fields):
+            _set(self, name, value)
         x, a2, a3, b1, b3, c1, c2 = map(float, fields)
         meet12 = (x, 1.0, -1.0)
         p2 = _INNER_POINTS[1]
-        object.__setattr__(self, "meets", (_MEET13, meet12, (-x, x, 1.0)))
-        object.__setattr__(self, "inner_flags",
-                           (_INNER_FLAG1, Flag(p2, _cross(p2, meet12)), _INNER_FLAG3))
-        object.__setattr__(self, "outer_points", ((-1.0, b1, c1), (a2, -1.0, c2), (a3, b3, -1.0)))
+        _set(self, "meets", (_MEET13, meet12, (-x, x, 1.0)))
+        _set(self, "inner_flags", (_INNER_FLAG1, Flag(p2, _cross(p2, meet12)), _INNER_FLAG3))
+        _set(self, "outer_points", ((-1.0, b1, c1), (a2, -1.0, c2), (a3, b3, -1.0)))
 
 
 def config_from_fg(sigma1, sigma2, tau_plus: float) -> PantsFlagConfig:

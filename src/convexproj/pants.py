@@ -35,7 +35,6 @@ down by the identity tau_plus + tau_minus = -(log mu_1 + log mu_2 + log mu_3).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import (
@@ -45,7 +44,8 @@ from .errors import (
     NoPositiveRoot,
     WindowViolation,
 )
-from .spectral import _REAL, BoundaryInvariant, LengthPair, _new, eigen_from_boundary
+from .spectral import (_REAL, BoundaryInvariant, LengthPair, _new, _Record, _set,
+                       eigen_from_boundary)
 
 
 def _exp(x: float, what: str, error: type[CoordinateError]) -> float:
@@ -66,24 +66,23 @@ def _log1pexp(x: float) -> float:
     return math.log1p(math.exp(x))
 
 
-@dataclass(frozen=True)
-class GoldmanPants:
+class GoldmanPants(_Record):
     """Goldman's eight parameters for a convex projective pair of pants."""
 
-    boundary: tuple[BoundaryInvariant, BoundaryInvariant, BoundaryInvariant]
-    s: float
-    t: float
+    __slots__ = _fields = ("boundary", "s", "t")
 
-    def __post_init__(self):
-        if len(self.boundary) != 3:
+    def __init__(self, boundary: tuple[BoundaryInvariant, ...], s: float, t: float):
+        if len(boundary) != 3:
             raise ValueError("exactly three boundary invariants are required")
-        for name, value in (("s", self.s), ("t", self.t)):
+        for name, value in (("s", s), ("t", t)):
             if not (isinstance(value, _REAL) and math.isfinite(value) and value > 0):
                 raise ValueError(f"internal parameter {name} must be positive, got {value!r}")
+        _set(self, "boundary", boundary)
+        _set(self, "s", s)
+        _set(self, "t", t)
 
 
-@dataclass(frozen=True)
-class FGPants:
+class FGPants(_Record):
     """Fock-Goncharov invariants of a pair of pants.
 
     Construction checks only that the entries are finite reals; whether the
@@ -92,20 +91,22 @@ class FGPants:
     diagnosed.
     """
 
-    sigma1: tuple[float, float, float]
-    sigma2: tuple[float, float, float]
-    tau_plus: float
-    tau_minus: float
+    __slots__ = _fields = ("sigma1", "sigma2", "tau_plus", "tau_minus")
 
-    def __post_init__(self):
-        for name, values in (("sigma1", self.sigma1), ("sigma2", self.sigma2)):
+    def __init__(self, sigma1: tuple[float, float, float], sigma2: tuple[float, float, float],
+                 tau_plus: float, tau_minus: float):
+        for name, values in (("sigma1", sigma1), ("sigma2", sigma2)):
             if not (len(values) == 3 and math.isfinite(values[0]) and math.isfinite(values[1])
                     and math.isfinite(values[2])):
                 raise ValueError(f"{name} must hold three finite reals, got {values!r}")
-        if not math.isfinite(self.tau_plus):
+        if not math.isfinite(tau_plus):
             raise ValueError("tau_plus must be finite")
-        if not math.isfinite(self.tau_minus):
+        if not math.isfinite(tau_minus):
             raise ValueError("tau_minus must be finite")
+        _set(self, "sigma1", sigma1)
+        _set(self, "sigma2", sigma2)
+        _set(self, "tau_plus", tau_plus)
+        _set(self, "tau_minus", tau_minus)
 
 
 class DomainCheck(NamedTuple):

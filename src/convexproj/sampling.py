@@ -37,8 +37,8 @@ def random_goldman_pants(rng: np.random.Generator) -> GoldmanPants:
 
 
 def random_fg_pants(rng: np.random.Generator) -> FGPants:
-    sigma1 = tuple(rng.uniform(-2.5, -0.1, 3))
-    sigma2 = tuple(rng.uniform(-2.5, -0.1, 3))
+    sigma1 = tuple(rng.uniform(-2.5, -0.1, 3).tolist())
+    sigma2 = tuple(rng.uniform(-2.5, -0.1, 3).tolist())
     cap = min(-sigma2[(i + 1) % 3] - sigma1[(i - 1) % 3] for i in range(3))
     tau_plus = rng.uniform(-1.0, 1.0)
     tau_minus = rng.uniform(-1.0, cap - tau_plus - LENGTH_MARGIN)

@@ -17,7 +17,6 @@ the curve (which inverts the spectrum).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import WindowViolation
@@ -37,11 +36,49 @@ class WindowCheck(NamedTuple):
         return not self.failures
 
 
-# What a check or kernel returns is a NamedTuple (what a caller builds and the
-# class checks is a frozen dataclass).  The hot ones are built with
+# What a check or kernel returns is a NamedTuple; the hot ones are built with
 # tuple.__new__, which is what a NamedTuple's own constructor calls, without a
-# Python-level call per result.
+# Python-level call per result.  What a caller builds and the class checks is a
+# _Record, whose own __init__ checks its values and then stores each with _set.
 _new = tuple.__new__
+_set = object.__setattr__
+
+
+class _Record:
+    """A __slots__ record: equality, hash, repr and pickling go by ``_fields``,
+    in order, and assigning or deleting an attribute raises AttributeError.
+    ``_store`` fills every slot in order; the records built per pants or per
+    gluing call the faster ``_set`` once per field instead."""
+
+    __slots__ = _fields = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def _store(self, *values):
+        for name, value in zip(self.__slots__, values):
+            _set(self, name, value)
+
+
 _REAL = (int, float)
 # The largest float: nan, the infinities and larger ints are not finite reals.
 _FLOAT_MAX = 1.7976931348623157e308
@@ -83,17 +120,17 @@ class EigenTriple(NamedTuple):
     nu: float
 
 
-@dataclass(frozen=True)
-class BoundaryInvariant:
+class BoundaryInvariant(_Record):
     """Goldman's (lambda, tau) pair for one boundary holonomy."""
 
-    lam: float
-    tau: float
+    __slots__ = _fields = ("lam", "tau")
 
-    def __post_init__(self):
-        failures = check_window(self.lam, self.tau).failures
+    def __init__(self, lam: float, tau: float):
+        failures = check_window(lam, tau).failures
         if failures:
             raise WindowViolation("; ".join(failures))
+        _set(self, "lam", lam)
+        _set(self, "tau", tau)
 
 
 class LengthPair(NamedTuple):

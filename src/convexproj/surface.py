@@ -27,7 +27,6 @@ either coordinate system and commute with all conversions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 from .errors import (
@@ -41,7 +40,7 @@ from .errors import (
     located,
 )
 from .pants import FGPants, GoldmanPants, boundary_lengths, fg_to_goldman, goldman_to_fg
-from .spectral import BoundaryInvariant, LengthPair, _new, reverse_orientation
+from .spectral import BoundaryInvariant, LengthPair, _new, _Record, _set, reverse_orientation
 
 # Residual accepted when validating closure of externally produced data;
 # internally converted data stays far below this.
@@ -52,8 +51,7 @@ _SHEAR_KEYS = "curve shears must cover exactly the internal curves"
 Slot = tuple[str, int]
 
 
-@dataclass(frozen=True)
-class ArcData:
+class ArcData(_Record):
     """Transverse-arc datum of an internal curve.
 
     Selects the spiraling leaf hitting the curve's positive endpoint from
@@ -63,40 +61,45 @@ class ArcData:
     shear pair.
     """
 
-    left: int
-    right: int
+    __slots__ = _fields = ("left", "right")
 
-    def __post_init__(self):
-        for name in ("left", "right"):
-            value = getattr(self, name)
+    def __init__(self, left: int, right: int):
+        for name, value in (("left", left), ("right", right)):
             if type(value) is not int or value not in (1, 2, 3):
                 raise ValueError(f"arc leaf index {name} must be 1, 2 or 3, got {value!r}")
+        self._store(left, right)
 
 
-@dataclass(frozen=True)
-class Gluing:
-    curve: str
-    plus: Slot
-    minus: Slot
-    arc: ArcData = field(default=ArcData(1, 1))
+class Gluing(_Record):
+    __slots__ = _fields = ("curve", "plus", "minus", "arc")
+
+    def __init__(self, curve: str, plus: Slot, minus: Slot, arc: ArcData = ArcData(1, 1)):
+        _set(self, "curve", curve)
+        _set(self, "plus", plus)
+        _set(self, "minus", minus)
+        _set(self, "arc", arc)
 
 
-@dataclass(frozen=True)
-class BoundarySlot:
-    curve: str
-    slot: Slot
+class BoundarySlot(_Record):
+    __slots__ = _fields = ("curve", "slot")
+
+    def __init__(self, curve: str, slot: Slot):
+        self._store(curve, slot)
 
 
-@dataclass(frozen=True)
-class PantsDecomposition:
-    pants: tuple[str, ...]
-    gluings: tuple[Gluing, ...]
-    boundaries: tuple[BoundarySlot, ...]
-    genus: int
-    boundary_count: int
-    # derived: slot -> (curve key, role), in gluing (plus, minus) then boundary
-    # order, which bd_to_goldman keeps as the curve order of its output
-    slots: dict[Slot, tuple[str, str]] = field(compare=False, repr=False)
+class PantsDecomposition(_Record):
+    _fields = ("pants", "gluings", "boundaries", "genus", "boundary_count")
+    # slots, derived and no field: slot -> (curve key, role), in gluing (plus, minus)
+    # then boundary order, which bd_to_goldman keeps as the curve order of its output
+    __slots__ = _fields + ("slots",)
+
+    def __init__(self, pants: tuple[str, ...], gluings: tuple[Gluing, ...],
+                 boundaries: tuple[BoundarySlot, ...], genus: int, boundary_count: int,
+                 slots: dict[Slot, tuple[str, str]]):
+        self._store(pants, gluings, boundaries, genus, boundary_count, slots)
+
+    def __reduce__(self):
+        return PantsDecomposition, self._values() + (self.slots,)
 
     @property
     def euler_characteristic(self) -> int:
@@ -193,8 +196,7 @@ def build_decomposition(pants, gluings, boundaries) -> PantsDecomposition:
     return PantsDecomposition(pants, gluings, boundaries, (2 - n + len(pants)) // 2, n, slots)
 
 
-@dataclass(frozen=True)
-class SurfaceGoldman:
+class SurfaceGoldman(_Record):
     """Goldman coordinates on a decomposed surface.
 
     ``curves`` maps every curve (internal and boundary) to its invariant in
@@ -202,18 +204,21 @@ class SurfaceGoldman:
     twist/bulge pair, ``pants`` maps each pants to (s, t).
     """
 
-    curves: dict[str, BoundaryInvariant]
-    uv: dict[str, tuple[float, float]]
-    pants: dict[str, tuple[float, float]]
+    __slots__ = _fields = ("curves", "uv", "pants")
+
+    def __init__(self, curves: dict[str, BoundaryInvariant], uv: dict[str, tuple[float, float]],
+                 pants: dict[str, tuple[float, float]]):
+        self._store(curves, uv, pants)
 
 
-@dataclass(frozen=True)
-class SurfaceBD:
+class SurfaceBD(_Record):
     """Bonahon-Dreyer coordinates: per-pants shear/triangle tuples plus a
     shear pair per internal curve."""
 
-    pants: dict[str, FGPants]
-    curve_shears: dict[str, tuple[float, float]]
+    __slots__ = _fields = ("pants", "curve_shears")
+
+    def __init__(self, pants: dict[str, FGPants], curve_shears: dict[str, tuple[float, float]]):
+        self._store(pants, curve_shears)
 
 
 def _check_goldman_keys(d: PantsDecomposition, g: SurfaceGoldman):
@@ -355,16 +360,16 @@ def twist_flow(d: PantsDecomposition, coords, curve: str, u: float):
     """
     a, b = _flow_pair(d, coords, curve)
     if isinstance(coords, SurfaceGoldman):
-        return replace(coords, uv={**coords.uv, curve: (a + u, b)})
-    return replace(coords, curve_shears={**coords.curve_shears, curve: (a + u, b + u)})
+        return SurfaceGoldman(coords.curves, {**coords.uv, curve: (a + u, b)}, coords.pants)
+    return SurfaceBD(coords.pants, {**coords.curve_shears, curve: (a + u, b + u)})
 
 
 def bulge_flow(d: PantsDecomposition, coords, curve: str, v: float):
     """Translate by a bulge of size v: shear pair moves by (-3v, +3v)."""
     a, b = _flow_pair(d, coords, curve)
     if isinstance(coords, SurfaceGoldman):
-        return replace(coords, uv={**coords.uv, curve: (a, b + v)})
-    return replace(coords, curve_shears={**coords.curve_shears, curve: (a - 3.0 * v, b + 3.0 * v)})
+        return SurfaceGoldman(coords.curves, {**coords.uv, curve: (a, b + v)}, coords.pants)
+    return SurfaceBD(coords.pants, {**coords.curve_shears, curve: (a - 3.0 * v, b + 3.0 * v)})
 
 
 class CoordinateCount(NamedTuple):

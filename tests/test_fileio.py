@@ -3,7 +3,6 @@ import json
 import math
 import os
 import stat
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +25,7 @@ from convexproj.sampling import random_fg_pants, random_surface_goldman
 from convexproj.surface import (
     BoundarySlot,
     Gluing,
+    PantsDecomposition,
     SurfaceBD,
     bd_to_goldman,
     build_decomposition,
@@ -556,7 +556,9 @@ class TestLinearInPants:
         def counting(pants, gluings, boundaries):
             decomposition = build_decomposition(pants, gluings, boundaries)
             built.append(ScanCounter(decomposition.pants))
-            return replace(decomposition, pants=built[-1])
+            return PantsDecomposition(built[-1], decomposition.gluings, decomposition.boundaries,
+                                      decomposition.genus, decomposition.boundary_count,
+                                      decomposition.slots)
 
         monkeypatch.setattr(fileio, "build_decomposition", counting)
         for text in texts:
@@ -667,8 +669,7 @@ def coordinate_files(draw) -> fileio.CoordinateFile:
 
     d = build_decomposition(
         list(pants.values()),
-        [replace(g, curve=curves[g.curve], plus=slot(g.plus), minus=slot(g.minus))
-         for g in shape.gluings],
+        [Gluing(curves[g.curve], slot(g.plus), slot(g.minus), g.arc) for g in shape.gluings],
         [BoundarySlot(curves[b.curve], slot(b.slot)) for b in shape.boundaries],
     )
     system = draw(st.sampled_from([fileio.GOLDMAN, fileio.BD]))
@@ -755,13 +756,17 @@ class TestParseOnce:
     @given(st.sampled_from(SURFACES), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, derandomize=True, database=None, deadline=None)
     def test_dumps_of_loads_is_the_identity(self, d, seed):
+        def numpy_shears(f):
+            return FGPants(tuple(map(np.float64, f.sigma1)), tuple(map(np.float64, f.sigma2)),
+                           f.tau_plus, f.tau_minus)
+
         rng = np.random.default_rng(seed)
         g = random_surface_goldman(d, rng)
         shears = {key: tuple(rng.uniform(-2.0, 2.0, 2)) for key in d.internal_curves()}
         for cf in (fileio.file_from_goldman(d, g), fileio.file_from_bd(d, goldman_to_bd(d, g)),
-                   # numpy floats, as the shear sampler draws them
+                   # numpy floats in every shear
                    fileio.file_from_bd(d, SurfaceBD(
-                       {key: random_fg_pants(rng) for key in d.pants}, shears))):
+                       {key: numpy_shears(random_fg_pants(rng)) for key in d.pants}, shears))):
             text = fileio.dumps(cf)
             assert fileio.dumps(fileio.loads(text)) == text
 
@@ -865,7 +870,8 @@ class TestWriteText:
     def test_refused_document_leaves_the_file_as_it_was(self, tmp_path):
         cf = torus_file()
         values = cf.values
-        bad = replace(cf, values=replace(values, uv={**values.uv, "c1": (math.nan, 0.0)}))
+        bad = fileio.CoordinateFile(cf.decomposition, cf.system, fileio.GoldmanValues(
+            values.curves, {**values.uv, "c1": (math.nan, 0.0)}, values.pants))
         path = tmp_path / "out.json"
         path.write_bytes(b"previous contents\n")
         with pytest.raises(DomainViolation):

@@ -1,8 +1,11 @@
 """Checks on the library source itself."""
 
 import ast
-import dataclasses
 import importlib
+import importlib.util
+import os
+import subprocess
+import sys
 from collections.abc import Sequence
 from pathlib import Path
 
@@ -207,7 +210,69 @@ RESULT_RECORDS = {
 @pytest.mark.parametrize("record", RESULT_RECORDS, ids=lambda record: record.__name__)
 def test_results_are_named_tuples(record):
     # a record that a check or kernel returns is a NamedTuple; one a caller
-    # builds and the class checks is a frozen dataclass
-    assert issubclass(record, tuple) and not dataclasses.is_dataclass(record)
+    # builds and the class checks is a spectral._Record, a __slots__ class
+    # that refuses assignment
+    assert issubclass(record, tuple) and not issubclass(record, spectral._Record)
     assert record._fields == RESULT_RECORDS[record]
     assert record.__doc__
+
+
+# What a cold command line that `cli.match` reads has no use for: argparse (with
+# gettext) serves help and refused command lines, traceback CONVEXPROJ_VERBOSE,
+# and no record is a dataclass.
+COLD_UNUSED = {"argparse", "gettext", "traceback", "dataclasses"}
+SAMPLES = SRC.parent.parent / "samples"
+
+
+def _fresh(args, verbose=False):
+    """Run `python -X importtime ARGS` with the library on the path; return the
+    finished process and the name of every module it imported."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC.parent)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))}
+    env.pop("CONVEXPROJ_VERBOSE", None)
+    if verbose:
+        env["CONVEXPROJ_VERBOSE"] = "1"
+    result = subprocess.run([sys.executable, "-X", "importtime", *map(str, args)],
+                            capture_output=True, text=True, env=env, timeout=120)
+    imported = {line.rpartition("|")[2].strip() for line in result.stderr.splitlines()
+                if line.startswith("import time:")}
+    return result, imported
+
+
+@pytest.mark.parametrize("argv", [
+    ("validate", SAMPLES / "genus2_goldman.json"),
+    ("convert", SAMPLES / "genus2_goldman.json", "--to", "bd", "OUT"),
+    ("oracle", SAMPLES / "pants_bd.json"),
+], ids=["validate", "convert_to_bd", "oracle"])
+def test_cold_command_loads_no_parser_traceback_or_dataclasses(argv, tmp_path):
+    argv = [tmp_path / "out.json" if token == "OUT" else token for token in argv]
+    result, imported = _fresh(["-m", "convexproj", *argv])
+    assert result.returncode == 0, result.stderr
+    assert "convexproj.cli" in imported
+    assert imported & COLD_UNUSED == set()
+
+
+@pytest.mark.parametrize("argv, verbose, code, loaded, text", [
+    (("--help",), False, 0, {"argparse", "gettext"}, "usage: convexproj"),
+    (("convert", SAMPLES / "pants_goldman.json", "--to", "cube", "out.json"), False, 2,
+     {"argparse", "gettext"}, "argument --to: invalid choice: 'cube'"),
+    (("oracle", SAMPLES / "pants_goldman.json"), True, 2, {"traceback"}, "Traceback"),
+], ids=["help", "refused", "verbose"])
+def test_fallbacks_load_what_they_use(argv, verbose, code, loaded, text, tmp_path):
+    # argparse and traceback are imported where they run, in a fresh process too
+    result, imported = _fresh(["-m", "convexproj", *argv], verbose)
+    assert result.returncode == code
+    assert text in result.stdout + result.stderr
+    assert loaded <= imported
+
+
+def test_cli_loads_every_traced_module():
+    # Tracer.install looks each TRACED module up in sys.modules after importing
+    # convexproj.cli, so none of them may be imported lazily
+    spec = importlib.util.spec_from_file_location(
+        "tracer", SRC.parent.parent / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    result, imported = _fresh(["-c", "import convexproj.cli"])
+    assert result.returncode == 0, result.stderr
+    assert {f"convexproj.{name}" for name in tracer.TRACED} <= imported

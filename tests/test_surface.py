@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +22,7 @@ from convexproj.surface import (
     ArcData,
     BoundarySlot,
     Gluing,
+    PantsDecomposition,
     SurfaceBD,
     SurfaceGoldman,
     bd_to_goldman,
@@ -231,7 +231,8 @@ class TestBuildDecomposition:
         ]
         assert d.slot_assignment("P0") == [("c1", "plus"), ("c1", "minus"), ("a1", "boundary")]
         # derived, so it takes no part in equality or repr
-        assert replace(d, slots={}) == d
+        assert PantsDecomposition(d.pants, d.gluings, d.boundaries, d.genus, d.boundary_count,
+                                  {}) == d
         assert "slots" not in repr(d)
 
     @given(decomposition_inputs())
@@ -364,13 +365,13 @@ class TestClosure:
         b = goldman_to_bd(d, g)
         curves = {key: value for key, value in g.curves.items() if key != "c0"}
         with pytest.raises(CountMismatch, match="^curve values do not match the decomposition$"):
-            goldman_to_bd(d, replace(g, curves=curves))
+            goldman_to_bd(d, SurfaceGoldman(curves, g.uv, g.pants))
         message = "^pants values do not match the decomposition$"
         with pytest.raises(CountMismatch, match=message):
-            goldman_to_bd(d, replace(g, pants={"P0": g.pants["P0"]}))
+            goldman_to_bd(d, SurfaceGoldman(g.curves, g.uv, {"P0": g.pants["P0"]}))
         for convert in (validate_closure, bd_to_goldman):
             with pytest.raises(CountMismatch, match=message):
-                convert(d, replace(b, pants={"P0": b.pants["P0"]}))
+                convert(d, SurfaceBD({"P0": b.pants["P0"]}, b.curve_shears))
 
     def test_window_violation_names_pants(self):
         # all six lengths are positive, but lambda = e^-802 underflows to 0.0
@@ -449,7 +450,8 @@ class TestFlows:
 
     def test_goldman_bundle_without_the_curve_refused_as_by_goldman_to_bd(self):
         d = torus_surface()
-        g = replace(surface_goldman(d, np.random.default_rng(97)), uv={})
+        g = surface_goldman(d, np.random.default_rng(97))
+        g = SurfaceGoldman(g.curves, {}, g.pants)
         message = "^uv values must cover exactly the internal curves$"
         with pytest.raises(CountMismatch, match=message):
             goldman_to_bd(d, g)
@@ -459,8 +461,8 @@ class TestFlows:
 
     def test_bd_bundle_without_the_curve_refused_as_by_validate_closure(self):
         d = torus_surface()
-        b = replace(goldman_to_bd(d, surface_goldman(d, np.random.default_rng(101))),
-                    curve_shears={})
+        b = goldman_to_bd(d, surface_goldman(d, np.random.default_rng(101)))
+        b = SurfaceBD(b.pants, {})
         message = "^curve shears must cover exactly the internal curves$"
         with pytest.raises(CountMismatch, match=message):
             validate_closure(d, b)
@@ -487,7 +489,8 @@ class TestLinearInPants:
         for convert, coords in ((goldman_to_bd, g), (bd_to_goldman, b)):
             gluings = IterationCounter(d.gluings)
             gluings.iterations = 0
-            convert(replace(d, gluings=gluings), coords)
+            convert(PantsDecomposition(d.pants, gluings, d.boundaries, d.genus, d.boundary_count,
+                                       d.slots), coords)
             assert gluings.iterations <= 3, convert.__name__
 
     def test_closure_computes_lengths_once_per_pants(self, monkeypatch):

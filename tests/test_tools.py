@@ -1,6 +1,7 @@
 """The repository's tooling scripts run as documented."""
 
 import importlib.util
+import json
 import shutil
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 COMPARE = REPO / "tools" / "compare_outputs.py"
+COLDSTART = REPO / "tools" / "coldstart.py"
 
 
 def compare(parent, change):
@@ -105,3 +107,21 @@ def test_line_differences_shows_each_line_up_to_the_cap():
                         "'FAIL pants P7: max residual 3.000e-09'")
     assert shown[-2:] == ["and 2 more lines differ", "15 lines != 14 lines"]
     assert tool.line_differences("same\n", "same") == ["1 lines != 1 lines"]
+
+
+def test_coldstart_times_both_commands_on_both_trees():
+    result = subprocess.run([sys.executable, str(COLDSTART), str(REPO / "src"), str(REPO / "src"),
+                             "--rounds", "2"], capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stdout + result.stderr
+    lines = result.stdout.splitlines()
+    rows = [line.split()[:2] for line in lines if line.split()[1:2] in (["parent"], ["change"])]
+    assert rows == [["validate", "parent"], ["validate", "change"],
+                    ["oracle", "parent"], ["oracle", "change"]]
+    assert sum(" was faster in " in line for line in lines) == 2
+    report = json.loads(lines[-1])
+    for name in ("validate", "oracle"):
+        assert report[name]["change_won"]["pairs"] == 2
+        for side in ("parent", "change"):
+            row = report[name][side]
+            assert 0 < row["min_ms"] <= row["q1_ms"] <= row["median_ms"] <= row["q3_ms"]
+            assert 0 < row["rss_min_mb"] <= row["rss_median_mb"]
